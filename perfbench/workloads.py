@@ -8,7 +8,8 @@ until the measured time (first submit to flush return, summed) reaches
 the requested seconds and every reported percentile has at least ten
 samples beyond it.  Episode ``e`` of seed ``s`` draws its stream and its
 front generator from ``SeedSequence([s, 0, e])``, so a seed fixes every
-input and the excess risk.
+input and the excess risk.  The bounded timings are scaled to a nominal
+host by two reference loops timed beside each episode (``host_slowdown``).
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ SPIN_S = 0.001
 #: (the listener's accept thread is never woken, so its bounded join times
 #: out); waiting for it would spend most of a run asleep.
 CLOSE_WAIT_S = 0.05
+#: Sizes of the two host-speed reference loops, and their times on the
+#: nominal host in which the bounded timings are reported (see ``host_slowdown``).
+REF_SOLVE_ITERS = 300
+REF_RELEASE_DRAWS = 2
+REF_NOMINAL_S = (0.001, 0.0012)
+_REF_MATRIX = np.random.default_rng(0).normal(size=(32, 32)) / 8
+_REF_RNG = np.random.default_rng(1)
+_REF_BUFFER = np.zeros((33, 1024))
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,10 @@ class Workload:
     tenants: int = 0
     #: Whether the final θ must equal a synchronous thread-transport replay.
     replay_check: bool = False
+    #: Weight of the release-like reference loop in ``host_slowdown``: the
+    #: release's share of the solve and release time in the traced split
+    #: (``perfbench/README.md``), rounded to a tenth.
+    release_share: float = 0.1
 
 
 WORKLOADS = {
@@ -82,13 +95,14 @@ WORKLOADS = {
             "refresh-bound",
             dim=32, block=64, horizon=8192,
             options=dict(transport="thread", backend="moment", ingest="fast"),
-            utility_episodes=40,
+            utility_episodes=80,
         ),
         Workload(
             "release-bound",
             dim=32, block=64, horizon=4096,
             options=dict(transport="thread", ingest="exact", refresh_every=4096),
             utility_episodes=16,
+            release_share=1.0,
         ),
         Workload(
             "remote-async",
@@ -97,8 +111,9 @@ WORKLOADS = {
             # 100 blocks/s: below the rate the async tcp front sustains,
             # and 2000 calls (two p99 windows) per 20 s run.
             offered_rate=25_600.0,
-            utility_episodes=24,
+            utility_episodes=48,
             replay_check=True,
+            release_share=0.2,
         ),
         Workload(
             "tenants",
@@ -188,6 +203,49 @@ def excess_risk(xs, ys, thetas) -> float:
 
 
 # ----------------------------------------------------------------------
+# Host speed
+# ----------------------------------------------------------------------
+
+
+def host_ref_s() -> tuple[float, float]:
+    """Wall times of two fixed loops that touch no code of the program.
+
+    They do the two kinds of work the serving path spends its time on:
+    interpreter dispatch around numpy calls on 32-wide operands (the
+    solve), and bulk Gaussian draws with a cumulative sum over a block of
+    flattened 32×32 Grams (the release).
+    """
+    v = np.ones(_REF_MATRIX.shape[0])
+    slots = {}
+    t0 = time.perf_counter()
+    for i in range(REF_SOLVE_ITERS):
+        v = _REF_MATRIX @ v
+        v = v / (np.linalg.norm(v) + 1.0)
+        slots[i & 15] = float(v[i & 31])
+    t1 = time.perf_counter()
+    for _ in range(REF_RELEASE_DRAWS):
+        _REF_BUFFER[1:] = _REF_RNG.normal(size=_REF_BUFFER[1:].shape)
+        np.cumsum(_REF_BUFFER, axis=0)
+    return t1 - t0, time.perf_counter() - t1
+
+
+def host_slowdown(w: Workload) -> float:
+    """How much slower than the nominal host this host runs ``w``'s work now.
+
+    On a shared virtual machine the speed of the program follows the
+    neighbours' load: it was seen to drift by a third within seconds and
+    to halve between hours, and work of the two kinds above slows by
+    different amounts.  The slowdown is the mean of the two reference
+    loops' times over their nominal ones, weighted by ``w.release_share``.
+    Each bounded timing is divided by the slowdown measured beside it, so
+    that it reads as on the nominal host.  A change to the program leaves
+    the loops alone and moves the scaled figure in full.
+    """
+    solve, release = (t / n for t, n in zip(host_ref_s(), REF_NOMINAL_S))
+    return (1 - w.release_share) * solve + w.release_share * release
+
+
+# ----------------------------------------------------------------------
 # One episode
 # ----------------------------------------------------------------------
 
@@ -207,6 +265,8 @@ class Episode:
     blocks: int = 0
     blocks_failed: int = 0
     checks: dict = field(default_factory=dict)
+    #: Mean ``host_slowdown`` just before the set-up and just after the flush.
+    slowdown: float = 1.0
 
     @property
     def wall_s(self) -> float:
@@ -244,6 +304,7 @@ def run_episode(w: Workload, seed: int, index: int, *, utility: bool, closing: l
     ep = Episode(blocks=len(blocks))
     perf = time.perf_counter
 
+    slowdown_before = host_slowdown(w)
     t0 = perf()
     front = build_front(w, front_seed)
     ep.setup_s = perf() - t0
@@ -268,6 +329,7 @@ def run_episode(w: Workload, seed: int, index: int, *, utility: bool, closing: l
             ep.end = perf()
             if tracer is not None:
                 tracer.uninstall()
+        ep.slowdown = (slowdown_before + host_slowdown(w)) / 2
         for subscription in subscriptions:
             subscription.unsubscribe()
         for when, timestep in seen:
@@ -388,14 +450,15 @@ def _median(values) -> float:
     return float(np.median(np.asarray(values, dtype=float)))
 
 
-def time_setups(w: Workload, seed: int, repeats: int, closing: list) -> list[float]:
-    """Constructor times of ``repeats`` fronts built and closed unused."""
+def time_setups(w: Workload, seed: int, repeats: int, closing: list) -> list[tuple]:
+    """``(constructor time, host_slowdown)`` of ``repeats`` fronts built and closed unused."""
     times = []
     for r in range(repeats):
         front_seed = int(np.random.SeedSequence([seed, 1, r]).generate_state(1)[0])
+        slowdown = host_slowdown(w)
         t0 = time.perf_counter()
         front = build_front(w, front_seed)
-        times.append(time.perf_counter() - t0)
+        times.append((time.perf_counter() - t0, slowdown))
         close_front(front, closing)
     return times
 
@@ -452,30 +515,57 @@ def run_workload(w: Workload, seed: int, seconds: float, trace: bool, *, fault=N
     # runs report them with the per-layer metrics.
     unbounded = _unsteady(plain)
     unbounded["failed_frac"] = (result["failed_frac"], "frac", result["attempted"])
+    setups += [(e.setup_s, e.slowdown) for e in plain]
     if trace:
         result["metrics"] = {**_layer_metrics(tracer, plain, traced), **unbounded}
-        result["also"] = {}
+        result["also"] = _unscaled(w, plain, setups)
     else:
         result["metrics"] = _end_to_end(w, plain, setups)
-        result["also"] = unbounded
+        result["also"] = {**unbounded, **_unscaled(w, plain, setups)}
     return result
 
 
-def _end_to_end(w: Workload, episodes: list[Episode], setups: list[float]) -> dict:
-    """``name -> (value, unit, samples)`` for the end-to-end metrics."""
-    calls = [c for e in episodes for c in e.calls_ms]
-    visible = [v for e in episodes for v in e.visible_ms]
-    setups = setups + [e.setup_s for e in episodes]
+def _end_to_end(w: Workload, episodes: list[Episode], setups: list[tuple]) -> dict:
+    """``name -> (value, unit, samples)`` for the end-to-end metrics.
+
+    Timings are scaled to the nominal host, each by the ``host_slowdown``
+    measured beside it.  An open loop's ingest rate is the offered rate's,
+    not the host's, so it is not scaled.
+    """
+    closed = w.offered_rate is None
+    calls = [c / e.slowdown for e in episodes for c in e.calls_ms]
+    visible = [v / e.slowdown for e in episodes for v in e.visible_ms]
     utility = [e.excess_risk for e in episodes if e.excess_risk is not None]
     return {
-        "setup_s": (_median(setups), "s", len(setups)),
+        "setup_s": (_median([s / slowdown for s, slowdown in setups]), "s", len(setups)),
         "ingest_pts_per_s": (
-            _median([w.horizon / e.wall_s for e in episodes]), "pts/s", len(episodes)
+            _median([w.horizon / e.wall_s * (e.slowdown if closed else 1.0)
+                     for e in episodes]),
+            "pts/s", len(episodes),
         ),
         "call_p50_ms": (_percentile(calls, 50), "ms", len(calls)),
         "visible_p50_ms": (_percentile(visible, 50), "ms", len(visible)),
         "excess_risk": (float(np.mean(utility)), "risk/pt", len(utility)),
         "state_floats": (_median([e.state_floats for e in episodes]), "floats", len(episodes)),
+    }
+
+
+def _unscaled(w: Workload, episodes: list[Episode], setups: list[tuple]) -> dict:
+    """The bounded timings as this host gave them, and its slowdown."""
+    return {
+        "host_slowdown": (_median([d for _, d in setups]), "x", len(setups)),
+        "setup_unscaled_s": (_median([s for s, _ in setups]), "s", len(setups)),
+        "ingest_unscaled_pts_per_s": (
+            _median([w.horizon / e.wall_s for e in episodes]), "pts/s", len(episodes)
+        ),
+        "call_unscaled_p50_ms": (
+            _percentile([c for e in episodes for c in e.calls_ms], 50), "ms",
+            sum(len(e.calls_ms) for e in episodes),
+        ),
+        "visible_unscaled_p50_ms": (
+            _percentile([v for e in episodes for v in e.visible_ms], 50), "ms",
+            sum(len(e.visible_ms) for e in episodes),
+        ),
     }
 
 
