@@ -368,6 +368,13 @@ class ShardHostListener:
             self._closed = True
             conns = list(self._conns)
             self._conns.clear()
+        # Closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down first does (accept raises),
+        # so the join below returns at once instead of at its deadline.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
         for conn in conns:
             try:

@@ -56,7 +56,7 @@ from .._validation import check_int
 from ..exceptions import ServingError
 from .metrics import ReadStats
 
-__all__ = ["EstimateHub", "ReaderHandle", "Subscription"]
+__all__ = ["EstimateHub", "EstimateReads", "ReaderHandle", "Subscription"]
 
 
 class Subscription:
@@ -387,3 +387,71 @@ class EstimateHub:
         self._closed = True
         # Wake every parked waiter; their abort hook re-checks the flag.
         self.cache.wake_waiters()
+
+
+class EstimateReads:
+    """The read surface over one :class:`EstimateHub`.
+
+    Written once and shared by every object that serves one estimate:
+    :class:`~repro.streaming.serving.ShardedStream` and the per-tenant
+    :class:`~repro.streaming.tenancy.TenantView`.  The owner holds the
+    hub as ``_hub`` and its cache as ``cache`` (the cached reads load it
+    directly: one pointer read).
+    """
+
+    _hub: EstimateHub
+
+    def current_estimate(self) -> np.ndarray:
+        """The cached parameter — one lock-free read-only pointer read.
+
+        The anonymous shared read: thread-safe from any number of
+        readers, touches no shared mutable state, keeps no statistics.
+        Readers that want per-reader stats, the snapshot fast path, or
+        blocking waits should hold a :meth:`reader` handle instead.
+        """
+        return self.cache.get().theta
+
+    def current_served(self):
+        """The cached estimate with version/coverage metadata (lock-free)."""
+        return self.cache.get()
+
+    def reader(self) -> ReaderHandle:
+        """A per-reader fan-out handle (one per reader thread).
+
+        Handles hold a private snapshot with a version fast-path check —
+        between refreshes a read returns the reader's own reference
+        without touching shared state — and keep per-reader read counts
+        that :meth:`read_stats` aggregates on demand.  Usable as a
+        context manager; ``close()`` (or stream close) retires it.
+        """
+        return self._hub.reader()
+
+    def subscribe(self, callback: Callable) -> Subscription:
+        """Fire ``callback(entry)`` on every publish (pub-sub invalidation).
+
+        Callbacks run on the publishing thread after the new entry is
+        visible to readers; exceptions are isolated per subscription
+        (counted on ``Subscription.errors``, never propagated to the
+        refresh path).  Returns the :class:`Subscription`; call its
+        ``unsubscribe()`` to stop.
+        """
+        return self._hub.subscribe(callback)
+
+    def wait_for_version(self, version: int, timeout: float | None = None):
+        """Block until a solve with ``version`` (or newer) is published.
+
+        Built on the cache's condition variable, woken by the publish
+        that satisfies it (or by a close, with a
+        :class:`~repro.exceptions.ServingError`).  Raises
+        :class:`~repro.exceptions.WaitTimeoutError` on timeout.
+        """
+        return self._hub.wait_for_version(version, timeout=timeout)
+
+    def read_stats(self) -> ReadStats:
+        """One consistent snapshot of the read fan-out (aggregated on demand)."""
+        return self._hub.read_stats()
+
+    @property
+    def estimate_version(self) -> int:
+        """Number of completed solves published to the cache (lock-free)."""
+        return self.cache.version

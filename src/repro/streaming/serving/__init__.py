@@ -130,7 +130,6 @@ from .shards import (
     TenantShard,
 )
 from .stream import _CLOSE, ShardedStream
-from .validation import _check_decay_groups
 
 __all__ = [
     "ShardedStream",

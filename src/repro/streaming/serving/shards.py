@@ -42,7 +42,7 @@ from ..moments import (
     gram_statistic,
     iv_statistics,
 )
-from .validation import _check_decay_groups
+from .validation import _check_decay_group, _check_tenant_roster
 
 __all__ = [
     "IVMomentShard",
@@ -406,33 +406,15 @@ class TenantShard:
                 "TenantShard requires mechanism='tree' (the PRIMO serving "
                 "layer assumes a known horizon)"
             )
-        names = tuple(str(name) for name in tenants)
-        if len(set(names)) != len(names):
-            raise ValidationError(f"tenant names must be unique, got {names!r}")
-        if not names:
-            raise ValidationError("TenantShard needs at least one tenant")
+        names, tenant_decays, self.decays = _check_tenant_roster(
+            tenants, tenant_decays, decays
+        )
         tenant_rngs = tuple(tenant_rngs)
         if len(tenant_rngs) != len(names):
             raise ValidationError(
                 f"need one rng per tenant: {len(names)} tenants, "
                 f"{len(tenant_rngs)} rngs"
             )
-        self.decays = _check_decay_groups(decays)
-        if tenant_decays is None:
-            tenant_decays = tuple(self.decays[0] for _ in names)
-        tenant_decays = tuple(float(g) for g in tenant_decays)
-        if len(tenant_decays) != len(names):
-            raise ValidationError(
-                f"need one decay per tenant: {len(names)} tenants, "
-                f"{len(tenant_decays)} tenant_decays"
-            )
-        for g in tenant_decays:
-            if g not in self.decays:
-                raise ValidationError(
-                    f"tenant_decays entry {g!r} is not a declared γ group "
-                    f"(decays={self.decays!r}); the shared Gram stream is "
-                    f"privatized once per declared group"
-                )
         self.index = index
         self.dim = dim
         self.moment_dim = dim
@@ -531,13 +513,7 @@ class TenantShard:
                 f"remove a tenant before adding {name!r} (the slot budgets "
                 f"are what keep the per-element loss within the total)"
             )
-        g = self.decays[0] if decay is None else float(decay)
-        if g not in self.decays:
-            raise ValidationError(
-                f"decay {g!r} is not a declared γ group "
-                f"(decays={self.decays!r}); groups are fixed at "
-                f"construction — the gram budget was split across them"
-            )
+        g = _check_decay_group(decay, self.decays)
         self.tenant_decay[name] = g
         self.cross[name] = self._make_tree((self.dim,), self._slot_budget, rng, g)
 

@@ -35,25 +35,19 @@ from ...privacy.parameters import PrivacyParams, bundle_budgets, shard_budgets
 from ...privacy.tree import MergedRelease, merge_released
 from ...sketching.gaussian import GaussianProjection
 from ...sketching.sparse_jl import SparseProjection
-from ..metrics import ReadStats
 from ..moments import bundle_names
 from ..netserve import ShardAddress, ShardHostListener, TcpShardWorker
 from ..transport import ProcessShardWorker, ShardSpec
-from ..readers import EstimateHub, ReaderHandle, Subscription
+from ..readers import EstimateHub, EstimateReads
 from .cache import ServedEstimate
-from .shards import (
-    IVMomentShard,
-    MomentShard,
-    ProjectedMomentShard,
-    SketchShard,
-)
+from .shards import MomentShard
 
 __all__ = ["ShardedStream", "_CLOSE"]
 
 _CLOSE = object()  # queue sentinel
 
 
-class ShardedStream:
+class ShardedStream(EstimateReads):
     """A sharded, optionally asynchronous, algorithm-generic serving front.
 
     Fronts **Algorithm 2** (``backend="moment"``, the default: raw
@@ -586,34 +580,10 @@ class ShardedStream:
             raise
         self._shards = shards
 
-        # The logical budget ledger.  Under parallel composition the whole
-        # sharded release costs what ONE shard costs (disjoint sub-streams);
-        # under basic composition the per-shard charges sum back to the
-        # total.  Either way the ledger stays within `params`, with one
-        # labelled charge per bundle statistic (for the default bundle:
-        # the historical cross/gram pair at params.halve(), bit-exactly).
         self.accountant = PrivacyAccountant(params, mode="basic")
-        weights = (1.0,) * entries
-        if composition == "parallel":
-            for name, piece in zip(self.bundle_names, bundle_budgets(params, weights)):
-                self.accountant.charge(f"shards:{name}-moments(parallel)", piece)
-        else:
-            for shard in self._shards:
-                pieces = bundle_budgets(shard.budget, weights)
-                for name, piece in zip(self.bundle_names, pieces):
-                    self.accountant.charge(
-                        f"shard{shard.index}:{name}-moments", piece
-                    )
+        self._charge_ledger()
+        self._open_estimates(solver, beta, fidelity, iteration_cap)
 
-        if solver is None:
-            solver = self._default_solver(beta, fidelity, iteration_cap)
-        self.solver = solver
-
-        # The hub is the single publish path (cache swap + waiter wakeup +
-        # subscriber fan-out); `self.cache` stays exposed for read-only
-        # inspection and the conformance suites.
-        self._hub = EstimateHub()
-        self.cache = self._hub.cache
         self._lock = threading.RLock()
         self._queue: queue.Queue = queue.Queue()
         self._processed = 0  # logical t: points fully ingested by shards
@@ -630,13 +600,6 @@ class ShardedStream:
         # needs to finish that drain.
         self._close_lock = threading.Lock()
         self._group_executor: ThreadPoolExecutor | None = None
-        # Publish the solver's initial parameter so reads never block.
-        self._hub.publish(
-            self.solver.current_estimate(),
-            self.solver.estimate_version,
-            timestep=0,
-            covered_steps=0,
-        )
         self._worker: threading.Thread | None = None
         if mode == "async":
             self._worker = threading.Thread(
@@ -669,87 +632,52 @@ class ShardedStream:
     ) -> MomentShard:
         """Construct one shard worker for the configured backend + transport.
 
-        ``rngs`` is the shard's contiguous slice of the front's spawn —
-        one child per bundle statistic, in bundle order.  The remote
-        transports pack the identical configuration — same rng children,
-        same budget, same shared ``Φ`` — into a picklable
-        :class:`~repro.streaming.transport.ShardSpec` and boot a proxy
-        around it (:class:`~repro.streaming.transport.ProcessShardWorker`
-        over a pipe, or
-        :class:`~repro.streaming.netserve.TcpShardWorker` against
-        ``addresses[index % len(addresses)]``), so every transport builds
-        byte-for-byte the same mechanisms and consumes randomness
-        identically.  Two-entry bundles ride the historical
-        ``cross_rng``/``gram_rng`` spec fields (the wire payload is
-        unchanged); wider bundles use the ``rngs`` field.
+        Every transport starts from the same picklable
+        :class:`~repro.streaming.transport.ShardSpec` — same rng
+        children, same budget, same shared ``Φ`` — so every transport
+        builds byte-for-byte the same mechanisms and consumes randomness
+        identically: ``"thread"`` builds it in this interpreter, the
+        remote transports boot a proxy around it
+        (:class:`~repro.streaming.transport.ProcessShardWorker` over a
+        pipe, or :class:`~repro.streaming.netserve.TcpShardWorker`
+        against ``addresses[index % len(addresses)]``).
         """
-        rngs = tuple(rngs)
-        if self.transport in ("process", "tcp"):
-            if self.backend == "iv":
-                spec = ShardSpec(
-                    index=index,
-                    dim=self.dim,
-                    budget=budget,
-                    mechanism=self.mechanism,
-                    shard_horizon=self.shard_horizon,
-                    backend=self.backend,
-                    decay=self.decay,
-                    window=self.window,
-                    instruments=self.instruments,
-                    rngs=rngs,
-                )
-            else:
-                spec = ShardSpec(
-                    index=index,
-                    dim=self.dim,
-                    budget=budget,
-                    cross_rng=rngs[0],
-                    gram_rng=rngs[1],
-                    mechanism=self.mechanism,
-                    shard_horizon=self.shard_horizon,
-                    backend=self.backend,
-                    projection=self.projection,
-                    decay=self.decay,
-                    window=self.window,
-                )
-            if self.transport == "tcp":
-                return TcpShardWorker(
-                    spec,
-                    self.addresses[index % len(self.addresses)],
-                    request_timeout=self.request_timeout,
-                )
-            return ProcessShardWorker(
-                spec, request_timeout=self.request_timeout
+        spec = self._shard_spec(index, budget, tuple(rngs))
+        if self.transport == "thread":
+            return spec.build()
+        if self.transport == "tcp":
+            return TcpShardWorker(
+                spec,
+                self.addresses[index % len(self.addresses)],
+                request_timeout=self.request_timeout,
             )
+        return ProcessShardWorker(spec, request_timeout=self.request_timeout)
+
+    def _shard_spec(
+        self, index: int, budget: PrivacyParams, rngs: tuple
+    ) -> ShardSpec:
+        """The recipe of shard ``index`` for the configured backend.
+
+        ``rngs`` is the shard's contiguous slice of the front's spawn —
+        one child per bundle statistic, in bundle order.  Two-entry
+        bundles ride the historical ``cross_rng``/``gram_rng`` spec
+        fields (the wire payload is unchanged); wider bundles use the
+        ``rngs`` field.
+        """
         if self.backend == "iv":
-            return IVMomentShard(
+            return ShardSpec(
                 index=index,
                 dim=self.dim,
                 budget=budget,
-                rngs=rngs,
+                mechanism=self.mechanism,
+                shard_horizon=self.shard_horizon,
+                backend=self.backend,
+                decay=self.decay,
+                window=self.window,
                 instruments=self.instruments,
-                mechanism=self.mechanism,
-                shard_horizon=self.shard_horizon,
-                decay=self.decay,
-                window=self.window,
+                rngs=rngs,
             )
-        if self.backend in ("projected", "sketch"):
-            shard_cls = (
-                SketchShard if self.backend == "sketch" else ProjectedMomentShard
-            )
-            return shard_cls(
-                index=index,
-                dim=self.dim,
-                budget=budget,
-                cross_rng=rngs[0],
-                gram_rng=rngs[1],
-                projection=self.projection,
-                mechanism=self.mechanism,
-                shard_horizon=self.shard_horizon,
-                decay=self.decay,
-                window=self.window,
-            )
-        return MomentShard(
+        return ShardSpec(
             index=index,
             dim=self.dim,
             budget=budget,
@@ -757,8 +685,47 @@ class ShardedStream:
             gram_rng=rngs[1],
             mechanism=self.mechanism,
             shard_horizon=self.shard_horizon,
+            backend=self.backend,
+            projection=self.projection,
             decay=self.decay,
             window=self.window,
+        )
+
+    def _charge_ledger(self) -> None:
+        """Open the budget ledger: one labelled charge per bundle statistic.
+
+        Under parallel composition the whole sharded release costs what
+        ONE shard costs (disjoint sub-streams); under basic composition
+        the per-shard charges sum back to the total.  Either way the
+        ledger stays within ``params`` (for the default bundle: the
+        historical cross/gram pair at ``params.halve()``, bit-exactly).
+        """
+        weights = (1.0,) * len(self.bundle_names)
+        if self.composition == "parallel":
+            pieces = bundle_budgets(self.params, weights)
+            for name, piece in zip(self.bundle_names, pieces):
+                self.accountant.charge(f"shards:{name}-moments(parallel)", piece)
+        else:
+            for shard in self._shards:
+                pieces = bundle_budgets(shard.budget, weights)
+                for name, piece in zip(self.bundle_names, pieces):
+                    self.accountant.charge(
+                        f"shard{shard.index}:{name}-moments", piece
+                    )
+
+    def _open_estimates(self, solver, beta, fidelity, iteration_cap) -> None:
+        """Set up the solver and the hub (the single publish path), and
+        publish the solver's initial parameter so reads never block."""
+        if solver is None:
+            solver = self._default_solver(beta, fidelity, iteration_cap)
+        self.solver = solver
+        self._hub = EstimateHub()
+        self.cache = self._hub.cache
+        self._hub.publish(
+            solver.current_estimate(),
+            solver.estimate_version,
+            timestep=0,
+            covered_steps=0,
         )
 
     def _group_pool(self) -> ThreadPoolExecutor:
@@ -867,19 +834,8 @@ class ShardedStream:
         """
         self._raise_if_unusable()
         xs, ys = self._validate_block(xs, ys)
-        k = xs.shape[0]
-        # Reserve capacity under the lock: concurrent producers must not
-        # both pass the horizon check (the noise calibration is for T
-        # elements, so overshooting it would be a privacy violation, not a
-        # bookkeeping one).
         with self._lock:
-            if self.horizon is not None and self._enqueued + k > self.horizon:
-                raise StreamExhaustedError(
-                    f"ShardedStream configured for horizon {self.horizon} "
-                    f"received a block of {k} points at logical step "
-                    f"{self._enqueued}"
-                )
-            self._enqueued += k
+            self._reserve(len(ys), "block")
         if self.mode == "sync":
             self._process_block(xs, ys)
         else:
@@ -889,6 +845,25 @@ class ShardedStream:
             # was never validated (breaking the unit-domain sensitivity
             # calibration) and diverge from the synchronous path.
             self._queue.put((np.array(xs), np.array(ys)))
+        return self.current_estimate()
+
+    def _reserve(self, points: int, unit: str) -> None:
+        """Reserve ``points`` of the horizon (call under the lock).
+
+        Concurrent producers must not both pass the horizon check: the
+        noise calibration is for ``T`` elements, so overshooting it would
+        be a privacy violation, not a bookkeeping one.
+        """
+        if self.horizon is not None and self._enqueued + points > self.horizon:
+            raise StreamExhaustedError(
+                f"{type(self).__name__} configured for horizon {self.horizon} "
+                f"received a {unit} of {points} points at logical step "
+                f"{self._enqueued}"
+            )
+        self._enqueued += points
+
+    def _latest(self):
+        """What :meth:`observe_group` returns: the cached estimate."""
         return self.current_estimate()
 
     def observe_group(
@@ -948,26 +923,16 @@ class ShardedStream:
             raise ValidationError("block group must contain at least one block")
         if workers is not None:
             workers = check_int("workers", workers, minimum=1)
-        validated = []
-        for xs, ys in blocks:
-            xs, ys = self._validate_block(xs, ys)
-            validated.append((xs, ys))
-        total = sum(len(ys) for _, ys in validated)
         with self._lock:
-            if self.horizon is not None and self._enqueued + total > self.horizon:
-                raise StreamExhaustedError(
-                    f"ShardedStream configured for horizon {self.horizon} "
-                    f"received a group of {total} points at logical step "
-                    f"{self._enqueued}"
-                )
-            self._enqueued += total
+            validated = [self._validate_block(xs, ys) for xs, ys in blocks]
+            self._reserve(sum(len(ys) for _, ys in validated), "group")
             # On failure _ingest_group has already refunded the failed
             # blocks' reservation (a pre-ingestion routing failure refunds
             # everything).
             self._ingest_group(validated, workers)
             if self._should_refresh():
                 self._refresh()
-        return self.current_estimate()
+        return self._latest()
 
     def _ingest_group(self, blocks, workers: int | None) -> None:
         """Route a validated group, then drain per-shard queues in parallel.
@@ -1070,6 +1035,11 @@ class ShardedStream:
         arrived since the last refresh — runs a final merge + solve so the
         returned (and cached) estimate covers the full processed stream.
         """
+        self._settle()
+        return self.current_served()
+
+    def _settle(self) -> None:
+        """Drain pending ingestion; solve if mass arrived since the last refresh."""
         self._raise_if_unusable()
         if self.mode == "manual":
             self.pump()
@@ -1079,7 +1049,6 @@ class ShardedStream:
         with self._lock:
             if self._processed > self._last_refresh_t:
                 self._refresh()
-        return self.current_served()
 
     def _join_queue(self) -> None:
         """``Queue.join`` with a worker-liveness probe (bounded waits).
@@ -1168,9 +1137,12 @@ class ShardedStream:
                 shard.shutdown()
             if self._owns_listener:
                 self._listener.close()
-            # Release parked wait_for_version callers (no further publish
-            # can ever satisfy them); served entries stay readable.
-            self._hub.close()
+            self._close_reads()
+
+    def _close_reads(self) -> None:
+        """Release parked ``wait_for_version`` callers (no further publish
+        can ever satisfy them); served entries stay readable."""
+        self._hub.close()
 
     def __enter__(self) -> "ShardedStream":
         return self
@@ -1179,65 +1151,8 @@ class ShardedStream:
         self.close()
 
     # ------------------------------------------------------------------
-    # Reads
+    # Diagnostics (the estimate reads are inherited from EstimateReads)
     # ------------------------------------------------------------------
-
-    def current_estimate(self) -> np.ndarray:
-        """The cached parameter — one lock-free read-only pointer read.
-
-        The anonymous shared read: thread-safe from any number of
-        readers, touches no shared mutable state, keeps no statistics.
-        Readers that want per-reader stats, the snapshot fast path, or
-        blocking waits should hold a :meth:`reader` handle instead.
-        """
-        return self.cache.get().theta
-
-    def current_served(self) -> ServedEstimate:
-        """The cached estimate with version/coverage metadata (lock-free)."""
-        return self.cache.get()
-
-    def reader(self) -> ReaderHandle:
-        """A per-reader fan-out handle (one per reader thread).
-
-        Handles hold a private snapshot with a version fast-path check —
-        between refreshes a read returns the reader's own reference
-        without touching shared state — and keep per-reader read counts
-        that :meth:`read_stats` aggregates on demand.  Usable as a
-        context manager; ``close()`` (or stream close) retires it.
-        """
-        return self._hub.reader()
-
-    def subscribe(self, callback) -> Subscription:
-        """Fire ``callback(entry)`` on every publish (pub-sub invalidation).
-
-        Callbacks run on the publishing thread after the new entry is
-        visible to readers; exceptions are isolated per subscription
-        (counted on ``Subscription.errors``, never propagated to the
-        refresh path).  Returns the :class:`Subscription`; call its
-        ``unsubscribe()`` to stop.
-        """
-        return self._hub.subscribe(callback)
-
-    def wait_for_version(
-        self, version: int, timeout: float | None = None
-    ) -> ServedEstimate:
-        """Block until a solve with ``version`` (or newer) is published.
-
-        The poller-to-waiter conversion: built on the cache's condition
-        variable, woken by the publish that satisfies it (or by
-        :meth:`close`, with a :class:`~repro.exceptions.ServingError`).
-        Raises :class:`~repro.exceptions.WaitTimeoutError` on timeout.
-        """
-        return self._hub.wait_for_version(version, timeout=timeout)
-
-    def read_stats(self) -> ReadStats:
-        """One consistent snapshot of the read fan-out (aggregated on demand)."""
-        return self._hub.read_stats()
-
-    @property
-    def estimate_version(self) -> int:
-        """Number of completed solves published to the cache (lock-free)."""
-        return self.cache.version
 
     @property
     def steps_ingested(self) -> int:
@@ -1439,7 +1354,7 @@ class ShardedStream:
 
     def _raise_if_unusable(self) -> None:
         if self._closed:
-            raise ServingError("ShardedStream is closed")
+            raise ServingError(f"{type(self).__name__} is closed")
         if self._error is not None:
             raise ServingError(
                 f"asynchronous ingestion failed: {self._error}"

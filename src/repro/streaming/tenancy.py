@@ -26,6 +26,11 @@ times: ``k·(d² + d)`` tree floats, ``k`` Gram noise draws per step, and a
   transport ships a tenant shard's releases as the same snapshots the
   single-tenant path ships, just ``k`` of them per shard.
 
+The front *is* a :class:`~repro.streaming.serving.ShardedStream`: routing,
+the horizon reservation and block refunds, fault accounting, kill and
+restart, and close are the single-tenant front's own code.  Only the
+shards it boots, the ledger it opens, and the refresh fan-out differ.
+
 Privacy is per-element composition over the *slot capacity*: one element
 is ingested by the Gram tree once (``ε/2``) and by at most ``capacity``
 concurrently active cross trees (``capacity · ε/(2·capacity)``), so its
@@ -39,19 +44,17 @@ For ``k = 1`` (and the default ``tenant_capacity=1``) both budget pieces
 equal ``params.halve()`` bit-exactly, the shard rng children and solver
 spawn order match :class:`~repro.streaming.serving.ShardedStream`'s, and
 the ingest arithmetic reduces to the single-tenant shard's — so a
-one-tenant front is **bit-identical** to the plain sharded path on both
-transports (``tests/test_tenancy.py``, ``tests/test_sharded_equivalence.py``).
+one-tenant front is **bit-identical** to the plain sharded path on the
+thread, process and tcp transports (``tests/test_tenancy.py``,
+``tests/test_sharded_equivalence.py``).
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
 from .._validation import (
     check_int,
-    check_rng,
     check_unit_xy_domain,
     check_vector,
     check_xy_block,
@@ -61,17 +64,15 @@ from ..exceptions import (
     PrivacyBudgetError,
     ServingError,
     ShardUnavailableError,
-    StreamExhaustedError,
     ValidationError,
 )
 from ..geometry.base import ConvexSet
-from ..privacy.accountant import PrivacyAccountant
 from ..privacy.parameters import PrivacyParams, tenant_budgets
 from ..privacy.tree import MergedRelease, merge_released
-from .readers import EstimateHub, ReaderHandle, Subscription
-from .serving import ServedEstimate, TenantShard, _check_decay_groups
-from .netserve import ShardAddress, ShardHostListener, TcpShardWorker
-from .transport import ProcessShardWorker, ShardSpec
+from .readers import EstimateHub, EstimateReads
+from .serving import ServedEstimate, ShardedStream
+from .serving.validation import _check_decay_group, _check_tenant_roster
+from .transport import ShardSpec
 
 __all__ = ["MultiTenantStream", "TenantView"]
 
@@ -84,7 +85,16 @@ def _cross_label(name: str) -> str:
     return f"tenant:{name}:cross-moments"
 
 
-class TenantView:
+def _merge_slot(handles, side: int, slot: int) -> MergedRelease:
+    """Merge entry ``slot`` of every shard's ``released()[side]`` tuple
+    (side 0: per-tenant crosses, 1: per-group Grams; dead shards: missing)."""
+    return merge_released(
+        [h[side][slot] if h[side] is not None else None for h in handles],
+        strict=False,
+    )
+
+
+class TenantView(EstimateReads):
     """One tenant's read surface over a :class:`MultiTenantStream`.
 
     A thin, cheap facade bound to the tenant's own
@@ -102,42 +112,11 @@ class TenantView:
         self._hub = hub
         self.cache = hub.cache
 
-    def current_estimate(self) -> np.ndarray:
-        """The tenant's cached parameter — one lock-free pointer read."""
-        return self.cache.get().theta
-
-    def current_served(self) -> ServedEstimate:
-        """The cached estimate with version/coverage metadata (lock-free)."""
-        return self.cache.get()
-
-    def reader(self) -> ReaderHandle:
-        """A per-reader fan-out handle (one per reader thread)."""
-        return self._hub.reader()
-
-    def subscribe(self, callback) -> Subscription:
-        """Fire ``callback(entry)`` on every publish for this tenant."""
-        return self._hub.subscribe(callback)
-
-    def wait_for_version(
-        self, version: int, timeout: float | None = None
-    ) -> ServedEstimate:
-        """Block until this tenant publishes ``version`` (or newer)."""
-        return self._hub.wait_for_version(version, timeout=timeout)
-
-    def read_stats(self):
-        """One consistent snapshot of this tenant's read fan-out."""
-        return self._hub.read_stats()
-
-    @property
-    def estimate_version(self) -> int:
-        """Completed solves published for this tenant (lock-free)."""
-        return self.cache.version
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TenantView(name={self.name!r}, version={self.cache.version})"
 
 
-class MultiTenantStream:
+class MultiTenantStream(ShardedStream):
     """The PRIMO serving front: ``k`` tenant models over one shared stream.
 
     Routes each incoming ``(x, y^{(1)}..y^{(k)})`` block round-robin to
@@ -149,6 +128,15 @@ class MultiTenantStream:
     instead of the ``k·d²`` that ``k`` independent
     :class:`~repro.streaming.serving.ShardedStream` fronts pay
     (``benchmarks/bench_primo_serving.py`` measures the gap).
+
+    A :class:`~repro.streaming.serving.ShardedStream` subclass: the
+    routing, refunds (``blocks_routed`` / ``blocks_refunded``), fault
+    accounting (``lost_steps``), :meth:`kill_shard` /
+    :meth:`restart_shard` (a restarted shard carries every active
+    tenant), :meth:`observe_group`, diagnostics and close are inherited.
+    The single-estimate reads (``current_estimate``, ``reader``, …) are
+    per tenant here and raise :class:`~repro.exceptions.ServingError` on
+    the front; use :meth:`tenant`.
 
     Synchronous by design: multi-tenant ingestion is the batch-heavy
     production path, and the async/manual queue modes of the
@@ -256,29 +244,6 @@ class MultiTenantStream:
         iteration_cap: int = 400,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        if ingest not in ("exact", "fast"):
-            raise ValidationError(f"ingest must be 'exact' or 'fast', got {ingest!r}")
-        if transport not in ("thread", "process", "tcp"):
-            raise ValidationError(
-                f"transport must be 'thread', 'process', or 'tcp', got "
-                f"{transport!r}"
-            )
-        if request_timeout is not None:
-            if transport == "thread":
-                raise ValidationError(
-                    "request_timeout needs a wire to deadline "
-                    "(transport='process' or 'tcp'); in-process shard "
-                    "calls are plain method calls"
-                )
-            if not request_timeout > 0:
-                raise ValidationError(
-                    f"request_timeout must be positive (seconds) or None, "
-                    f"got {request_timeout!r}"
-                )
-        if addresses is not None and transport != "tcp":
-            raise ValidationError(
-                "addresses only applies to transport='tcp'"
-            )
         if horizon is None:
             raise ValidationError(
                 "MultiTenantStream needs a horizon (tenant shards are tree "
@@ -286,175 +251,86 @@ class MultiTenantStream:
             )
         if isinstance(tenants, (int, np.integer)) and not isinstance(tenants, bool):
             count = check_int("tenants", tenants, minimum=1)
-            names = tuple(f"tenant-{i}" for i in range(count))
-        else:
-            names = tuple(str(name) for name in tenants)
-        if not names:
-            raise ValidationError("tenants must name at least one tenant")
-        if len(set(names)) != len(names):
-            raise ValidationError(f"tenant names must be unique, got {names!r}")
-        if any(not name for name in names):
-            raise ValidationError("tenant names must be non-empty")
-        self.decays = _check_decay_groups(decays)
-        if tenant_decays is None:
-            tenant_decays = tuple(self.decays[0] for _ in names)
-        tenant_decays = tuple(float(g) for g in tenant_decays)
-        if len(tenant_decays) != len(names):
-            raise ValidationError(
-                f"need one decay per tenant: {len(names)} tenants, "
-                f"{len(tenant_decays)} tenant_decays"
-            )
-        for g in tenant_decays:
-            if g not in self.decays:
-                raise ValidationError(
-                    f"tenant_decays entry {g!r} is not a declared γ group "
-                    f"(decays={self.decays!r})"
-                )
-
-        self.constraint = constraint
-        self.params = params
-        self.dim = constraint.dim
-        self.shards_count = check_int("shards", shards, minimum=1)
-        self.horizon = check_int("horizon", horizon, minimum=1)
+            tenants = tuple(f"tenant-{i}" for i in range(count))
+        names, tenant_decays, self.decays = _check_tenant_roster(
+            tenants, tenant_decays, decays
+        )
         self.tenant_capacity = check_int(
             "tenant_capacity",
             len(names) if tenant_capacity is None else tenant_capacity,
             minimum=len(names),
         )
-        self.refresh_every = (
-            None
-            if refresh_every is None
-            else check_int("refresh_every", refresh_every, minimum=1)
-        )
-        self.ingest = ingest
-        self.transport = transport
-        self.request_timeout = request_timeout
-        self._listener: ShardHostListener | None = None
-        self._owns_listener = False
-        if transport == "tcp":
-            if addresses is None:
-                self._listener = ShardHostListener()
-                self._owns_listener = True
-                addresses = [self._listener.address]
-            self.addresses = tuple(
-                ShardAddress.coerce(address) for address in addresses
-            )
-        else:
-            self.addresses = None
-        self.shard_horizon = (
-            self.horizon
-            if shard_horizon is None
-            else check_int("shard_horizon", shard_horizon, minimum=1)
-        )
-        self._rng = check_rng(rng)
-        self._fast = ingest == "fast"
-        self._beta = beta
-        self._fidelity = fidelity
-        self._iteration_cap = iteration_cap
-
-        # The per-slot budget every tenant (initial or added later) runs
-        # at; the gram half is spent once, jointly, independent of k.
-        gram_budget, slot_budgets = tenant_budgets(params, self.tenant_capacity)
-        self._slot_budget = slot_budgets[0]
-        #: Tenant → γ group (refreshes solve against the matching Gram).
+        #: Active tenant → γ group, in slot order: the order every shard's
+        #: released() cross tuple is indexed by.  Refreshes solve each
+        #: tenant against its group's Gram; shard boots read it.
         self._tenant_decays: dict[str, float] = dict(zip(names, tenant_decays))
-
-        k = len(names)
-        children = self._rng.spawn(2 * self.shards_count)
-        shard_list: list = []
-        try:
-            for i in range(self.shards_count):
-                # Tenant 0 consumes child 2i itself — the exact child the
-                # single-tenant front hands its cross tree — and tenants
-                # 1..k-1 consume its spawned siblings (spawning advances
-                # the child's spawn counter, never its bit stream, so
-                # tenant 0 stays bit-identical at any k).
-                base = children[2 * i]
-                extras = tuple(base.spawn(k - 1)) if k > 1 else ()
-                shard_list.append(
-                    self._make_shard(
-                        i,
-                        (base,) + extras,
-                        children[2 * i + 1],
-                        names,
-                        tenant_decays,
-                    )
-                )
-        except BaseException:
-            for shard in shard_list:
-                shard.shutdown()
-            if self._owns_listener:
-                self._listener.close()
-            raise
-        self._shards = shard_list
-
-        # Ledger: the shared Gram is one parallel-composition charge; each
-        # active tenant holds one refundable slot charge.  Fully occupied,
-        # the ledger sums back to `params`.
-        self.accountant = PrivacyAccountant(params, mode="basic")
-        self.accountant.charge(_GRAM_LABEL, gram_budget)
-        for name in names:
-            self.accountant.charge(_cross_label(name), self._slot_budget)
-
-        # Per-tenant solve + publish state, keyed in tenant (slot) order —
-        # the order every shard's released() tuple is indexed by.
-        self._solvers: dict[str, PrivIncReg1] = {}
-        self._hubs: dict[str, EstimateHub] = {}
-        self._views: dict[str, TenantView] = {}
-        for name in names:
-            self._attach_tenant_state(name)
-
-        self._lock = threading.RLock()
-        self._close_lock = threading.Lock()
-        self._processed = 0
-        self._enqueued = 0
-        self._next_shard = 0
-        self._last_refresh_t = 0
-        self.lost_steps = 0
-        self._closed = False
+        super().__init__(
+            constraint,
+            params,
+            shards,
+            horizon=horizon,
+            refresh_every=refresh_every,
+            ingest=ingest,
+            transport=transport,
+            request_timeout=request_timeout,
+            addresses=addresses,
+            shard_horizon=shard_horizon,
+            beta=beta,
+            fidelity=fidelity,
+            iteration_cap=iteration_cap,
+            rng=rng,
+        )
 
     # ------------------------------------------------------------------
-    # Construction helpers
+    # ShardedStream hooks
     # ------------------------------------------------------------------
 
-    def _make_shard(self, index, tenant_rngs, gram_rng, names, tenant_decays):
-        """One tenant shard on the configured transport (full budget each)."""
-        if self.transport in ("process", "tcp"):
-            spec = ShardSpec(
-                index=index,
-                dim=self.dim,
-                budget=self.params,
-                gram_rng=gram_rng,
-                mechanism="tree",
-                shard_horizon=self.shard_horizon,
-                backend="tenant",
-                tenants=tuple(names),
-                tenant_rngs=tuple(tenant_rngs),
-                tenant_capacity=self.tenant_capacity,
-                decays=self.decays,
-                tenant_decays=tuple(tenant_decays),
-            )
-            if self.transport == "tcp":
-                return TcpShardWorker(
-                    spec,
-                    self.addresses[index % len(self.addresses)],
-                    request_timeout=self.request_timeout,
-                )
-            return ProcessShardWorker(
-                spec, request_timeout=self.request_timeout
-            )
-        return TenantShard(
+    def _shard_spec(self, index: int, budget: PrivacyParams, rngs) -> ShardSpec:
+        """A tenant shard carrying every active tenant (boot and restart).
+
+        ``rngs`` is the shard's two-child slice of the front's spawn:
+        tenant 0 consumes child ``2i`` itself — the exact child the
+        single-tenant front hands its cross tree — and tenants 1..k-1
+        consume its spawned siblings (spawning advances the child's spawn
+        counter, never its bit stream, so tenant 0 stays bit-identical at
+        any k); the Gram consumes child ``2i+1``.
+        """
+        base, gram_rng = rngs
+        names = tuple(self._tenant_decays)
+        return ShardSpec(
             index=index,
             dim=self.dim,
-            budget=self.params,
-            tenant_rngs=tenant_rngs,
+            budget=budget,
             gram_rng=gram_rng,
-            tenants=names,
-            tenant_capacity=self.tenant_capacity,
             shard_horizon=self.shard_horizon,
+            backend="tenant",
+            tenants=names,
+            tenant_rngs=(base, *base.spawn(len(names) - 1)) if names else (),
+            tenant_capacity=self.tenant_capacity,
             decays=self.decays,
-            tenant_decays=tuple(tenant_decays),
+            tenant_decays=tuple(self._tenant_decays.values()),
         )
+
+    def _charge_ledger(self) -> None:
+        """The shared Gram is one parallel-composition charge; each active
+        tenant holds one refundable slot charge.  Fully occupied, the
+        ledger sums back to ``params``."""
+        gram_budget, slot_budgets = tenant_budgets(self.params, self.tenant_capacity)
+        #: Every slot (initial or added later) runs at the same budget.
+        self._slot_budget = slot_budgets[0]
+        self.accountant.charge(_GRAM_LABEL, gram_budget)
+        for name in self._tenant_decays:
+            self.accountant.charge(_cross_label(name), self._slot_budget)
+
+    def _open_estimates(self, solver, beta, fidelity, iteration_cap) -> None:
+        """Per-tenant solve + publish state, in tenant (slot) order."""
+        self._solver_knobs = dict(
+            beta=beta, fidelity=fidelity, iteration_cap=iteration_cap
+        )
+        self._solvers: dict[str, PrivIncReg1] = {}
+        self._views: dict[str, TenantView] = {}
+        for name in self._tenant_decays:
+            self._attach_tenant_state(name)
 
     def _attach_tenant_state(self, name: str) -> None:
         """Create one tenant's solver + hub + view and publish version 0."""
@@ -462,10 +338,8 @@ class MultiTenantStream:
             horizon=self.horizon,
             constraint=self.constraint,
             params=self.params,
-            beta=self._beta,
-            fidelity=self._fidelity,
-            iteration_cap=self._iteration_cap,
             rng=self._rng.spawn(1)[0],
+            **self._solver_knobs,
         )
         hub = EstimateHub()
         hub.publish(
@@ -475,8 +349,25 @@ class MultiTenantStream:
             covered_steps=0,
         )
         self._solvers[name] = solver
-        self._hubs[name] = hub
         self._views[name] = TenantView(name, hub)
+
+    def _close_reads(self) -> None:
+        for view in self._views.values():
+            view._hub.close()
+
+    @property
+    def _hub(self):
+        # The single-estimate reads inherited from EstimateReads go through
+        # `_hub` and `cache`; on this front there is one estimate per tenant.
+        raise ServingError(
+            "MultiTenantStream serves one estimate per tenant; read it "
+            "through tenant(name)"
+        )
+
+    cache = _hub
+
+    def _latest(self) -> dict[str, np.ndarray]:
+        return self.estimates()
 
     # ------------------------------------------------------------------
     # Tenant lifecycle
@@ -503,20 +394,16 @@ class MultiTenantStream:
         primary group); groups are fixed at construction.  Charges the
         tenant's slot on the ledger; raises
         :class:`~repro.exceptions.PrivacyBudgetError` when every slot is
-        occupied — capacity is a privacy bound, not a sizing hint.
+        occupied — capacity is a privacy bound, not a sizing hint.  Dead
+        shards are skipped; :meth:`restart_shard` boots them with the
+        tenant included.
         """
         name = str(name)
         if not name:
             raise ValidationError("tenant names must be non-empty")
-        g = self.decays[0] if decay is None else float(decay)
-        if g not in self.decays:
-            raise ValidationError(
-                f"decay {g!r} is not a declared γ group "
-                f"(decays={self.decays!r}); declare every served γ up "
-                f"front — the gram budget is split across the groups"
-            )
+        g = _check_decay_group(decay, self.decays)
         with self._lock:
-            self._raise_if_closed()
+            self._raise_if_unusable()
             if name in self._views:
                 raise ValidationError(f"tenant {name!r} already exists")
             if len(self._views) >= self.tenant_capacity:
@@ -554,9 +441,8 @@ class MultiTenantStream:
         """
         name = str(name)
         with self._lock:
-            self._raise_if_closed()
-            if name not in self._views:
-                raise ValidationError(f"unknown tenant {name!r}")
+            self._raise_if_unusable()
+            self.tenant(name)  # raises on unknown names
             self.accountant.refund(_cross_label(name))
             for shard in self._shards:
                 if not shard.alive:
@@ -566,13 +452,46 @@ class MultiTenantStream:
                 except ShardUnavailableError:
                     self._note_shard_death(shard)
             self._solvers.pop(name)
-            self._hubs.pop(name).close()
-            self._views.pop(name)
-            self._tenant_decays.pop(name, None)
+            self._views.pop(name)._hub.close()
+            self._tenant_decays.pop(name)
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
+
+    def _validate_block(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validate an ``(n, d)`` covariate block and its ``(n, k)`` outcomes.
+
+        One column per active tenant, in :meth:`tenants` order (a 1-D
+        ``ys`` is accepted when there is exactly one tenant).  Call under
+        the lock: the tenant count must not change before the block is
+        routed.
+        """
+        k = len(self._views)
+        if k == 0:
+            raise ServingError("no active tenants; add_tenant() before observing")
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2:
+            raise ValidationError(
+                f"X must be a 2-D (n, d) block, got shape {xs.shape}"
+            )
+        Y = np.asarray(ys, dtype=float)
+        if Y.ndim == 1 and k == 1:
+            Y = Y[:, None]
+        if Y.shape != (xs.shape[0], k):
+            raise ValidationError(
+                f"ys must be an ({xs.shape[0]}, {k}) outcome block — one "
+                f"column per active tenant — got shape {np.shape(ys)}"
+            )
+        xs, _ = check_xy_block(xs, Y[:, 0], dim=self.dim)
+        if not np.all(np.isfinite(Y)):
+            raise ValidationError("batch must contain only finite entries")
+        # One domain sweep covers all k columns: ‖x‖ ≤ 1 once, |y| ≤ 1
+        # over the flattened outcome block.
+        check_unit_xy_domain("MultiTenantStream", xs, Y.ravel())
+        return xs, Y
 
     def observe(self, x: np.ndarray, ys) -> dict[str, np.ndarray]:
         """Ingest one point with one outcome per tenant (a block of one).
@@ -590,133 +509,40 @@ class MultiTenantStream:
     def observe_batch(self, xs: np.ndarray, ys: np.ndarray) -> dict[str, np.ndarray]:
         """Ingest a block: ``(n, d)`` covariates, ``(n, k)`` outcomes.
 
-        One column per active tenant, in :meth:`tenants` order (a 1-D
-        ``ys`` is accepted when there is exactly one tenant).  The block
-        is validated and reserved against the horizon atomically, routed
-        whole to one shard — which advances the shared Gram tree once and
-        every tenant's cross tree — then any due refresh solves all
-        tenants off the same merged Gram.  Returns the cached per-tenant
-        estimates.
+        The block is validated and reserved against the horizon
+        atomically, routed whole to one shard — which advances the shared
+        Gram tree once and every tenant's cross tree — then any due
+        refresh solves all tenants off the same merged Gram.  Returns the
+        cached per-tenant estimates.
         """
-        self._raise_if_closed()
+        self._raise_if_unusable()
         with self._lock:
-            k = len(self._views)
-            if k == 0:
-                raise ServingError(
-                    "no active tenants; add_tenant() before observing"
-                )
-            xs2 = np.asarray(xs, dtype=float)
-            if xs2.ndim != 2:
-                raise ValidationError(
-                    f"X must be a 2-D (n, d) block, got shape {xs2.shape}"
-                )
-            Y = np.asarray(ys, dtype=float)
-            if Y.ndim == 1 and k == 1:
-                Y = Y[:, None]
-            if Y.shape != (xs2.shape[0], k):
-                raise ValidationError(
-                    f"ys must be an ({xs2.shape[0]}, {k}) outcome block — one "
-                    f"column per active tenant — got shape {np.shape(ys)}"
-                )
-            xs2, _ = check_xy_block(xs2, Y[:, 0], dim=self.dim)
-            if not np.all(np.isfinite(Y)):
-                raise ValidationError("batch must contain only finite entries")
-            # One domain sweep covers all k columns: ‖x‖ ≤ 1 once, |y| ≤ 1
-            # over the flattened outcome block.
-            check_unit_xy_domain("MultiTenantStream", xs2, Y.ravel())
-            n = xs2.shape[0]
-            if self._enqueued + n > self.horizon:
-                raise StreamExhaustedError(
-                    f"MultiTenantStream configured for horizon {self.horizon} "
-                    f"received a block of {n} points at logical step "
-                    f"{self._enqueued}"
-                )
-            self._enqueued += n
-            try:
-                self._ingest_block(xs2, Y)
-            except BaseException:
-                self._enqueued -= n
-                raise
-            if self._should_refresh():
-                self._refresh()
+            xs, Y = self._validate_block(xs, ys)
+            self._reserve(len(Y), "block")
+            self._process_block(xs, Y)
         return self.estimates()
-
-    def _ingest_block(self, xs: np.ndarray, Y: np.ndarray) -> None:
-        shard = self._route()
-        try:
-            shard.ingest(xs, Y, self._fast)
-        except ShardUnavailableError:
-            self._note_shard_death(shard)
-            raise
-        self._processed += xs.shape[0]
-
-    def _route(self):
-        """Round-robin over live shards (same rule as the single-tenant front)."""
-        start = self._next_shard
-        self._next_shard = (self._next_shard + 1) % self.shards_count
-        for offset in range(self.shards_count):
-            shard = self._shards[(start + offset) % self.shards_count]
-            if shard.alive:
-                return shard
-        raise ShardUnavailableError("every shard is dead; nothing can ingest")
-
-    def _should_refresh(self) -> bool:
-        if self.refresh_every is None:
-            return True
-        if self._processed >= self.horizon:
-            return True
-        return (
-            self._processed // self.refresh_every
-            > self._last_refresh_t // self.refresh_every
-        )
 
     # ------------------------------------------------------------------
     # Merge + solve
     # ------------------------------------------------------------------
 
-    def _released_pairs(self):
-        """Per-shard (cross tuple, gram) handles; dead shards as (None, None)."""
-        pairs = []
-        for shard in self._shards:
-            if not shard.alive:
-                self._note_shard_death(shard)
-                pairs.append((None, None))
-                continue
-            try:
-                pairs.append(shard.released())
-            except ShardUnavailableError:
-                self._note_shard_death(shard)
-                pairs.append((None, None))
-        return pairs
-
     def _refresh(self) -> None:
         """Merge the shared Gram once, solve every tenant against it.
 
-        The PRIMO merge economy: one ``(d, d)`` Gram merge serves all
-        ``k`` solves; each tenant only merges its own ``(d,)`` crosses.
-        A tenant added mid-stream has cross coverage behind the Gram's;
-        its solve rescales the merged Gram to the tenant's own covered
-        mass (the unbiased second-moment estimate over its window).  The
-        rescale is skipped — not applied with factor 1.0 — whenever the
-        coverages agree, which keeps from-the-start tenants (and with
-        them the ``k = 1`` stream) bit-identical to the single-tenant
-        path.  Tenants with zero coverage keep their previous estimate.
+        The PRIMO merge economy: one ``(d, d)`` Gram merge per declared γ
+        group serves every tenant in that group; each tenant only merges
+        its own ``(d,)`` crosses.  A tenant added mid-stream has cross
+        coverage behind the Gram's; its solve rescales the merged Gram to
+        the tenant's own covered mass (the unbiased second-moment
+        estimate over its window).  Tenants with zero coverage keep their
+        previous estimate.
         """
-        pairs = self._released_pairs()
-        # One Gram merge per declared γ group, each reused by every tenant
-        # assigned to that group — the PRIMO economy, now per weighting.
+        handles = [self._released_handles(shard) for shard in self._shards]
         grams = {
-            g: merge_released(
-                [gr[gi] if gr is not None else None for _, gr in pairs],
-                strict=False,
-            )
-            for gi, g in enumerate(self.decays)
+            g: _merge_slot(handles, 1, gi) for gi, g in enumerate(self.decays)
         }
         for j, (name, solver) in enumerate(self._solvers.items()):
-            cross = merge_released(
-                [c[j] if c is not None else None for c, _ in pairs],
-                strict=False,
-            )
+            cross = _merge_slot(handles, 0, j)
             covered = cross.covered_steps
             if covered == 0:
                 continue
@@ -726,14 +552,14 @@ class MultiTenantStream:
             # between a mid-stream tenant's crosses and the shared Gram;
             # rescale to the tenant's own weight.  Skipped — not applied
             # with factor 1.0 — whenever the weights agree, which keeps
-            # from-the-start tenants bit-identical to the single-tenant
-            # path.
+            # from-the-start tenants (and with them the k = 1 stream)
+            # bit-identical to the single-tenant path.
             weight = cross.covered_weight
             if weight != gram.covered_weight:
                 gram_value = gram_value * (weight / gram.covered_weight)
             t_solve = weight if weight != covered else covered
             theta = solver.refresh_from_released(t_solve, gram_value, cross.value)
-            self._hubs[name].publish(
+            self._views[name]._hub.publish(
                 theta,
                 solver.estimate_version,
                 timestep=self._processed,
@@ -750,23 +576,24 @@ class MultiTenantStream:
         """
         name = str(name)
         with self._lock:
-            if name not in self._views:
-                raise ValidationError(f"unknown tenant {name!r}")
-            j = list(self._views).index(name)
-            gi = self.decays.index(self._tenant_decays[name])
-            pairs = self._released_pairs()
-            cross = merge_released(
-                [c[j] if c is not None else None for c, _ in pairs],
-                strict=False,
+            self.tenant(name)  # raises on unknown names
+            handles = [self._released_handles(shard) for shard in self._shards]
+            return (
+                _merge_slot(handles, 0, list(self._views).index(name)),
+                _merge_slot(
+                    handles, 1, self.decays.index(self._tenant_decays[name])
+                ),
             )
-            gram = merge_released(
-                [g[gi] if g is not None else None for _, g in pairs],
-                strict=False,
-            )
-            return cross, gram
+
+    def merged_bundle(self):
+        """Not served here: the crosses are per tenant; use
+        :meth:`merged_moments` with a tenant name."""
+        raise ServingError(
+            "MultiTenantStream merges per tenant; use merged_moments(name)"
+        )
 
     # ------------------------------------------------------------------
-    # Reads / lifecycle
+    # Reads
     # ------------------------------------------------------------------
 
     def estimates(self) -> dict[str, np.ndarray]:
@@ -775,101 +602,11 @@ class MultiTenantStream:
 
     def flush(self) -> dict[str, ServedEstimate]:
         """Solve through everything processed; return per-tenant estimates."""
-        self._raise_if_closed()
+        self._settle()
         with self._lock:
-            if self._processed > self._last_refresh_t:
-                self._refresh()
             return {
                 name: view.current_served() for name, view in self._views.items()
             }
-
-    def close(self) -> None:
-        """Flush, stop every shard worker, and refuse further ingestion.
-
-        Idempotent under concurrency (the whole teardown runs under a
-        dedicated lock).  Tenant views stay readable after close; parked
-        waiters are released with a
-        :class:`~repro.exceptions.ServingError`.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            try:
-                self.flush()
-            finally:
-                self._closed = True
-                for shard in self._shards:
-                    shard.shutdown()
-                if self._owns_listener:
-                    self._listener.close()
-                for hub in self._hubs.values():
-                    hub.close()
-
-    def __enter__(self) -> "MultiTenantStream":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def _raise_if_closed(self) -> None:
-        if self._closed:
-            raise ServingError("MultiTenantStream is closed")
-
-    @property
-    def steps_ingested(self) -> int:
-        """Points fully processed into shard mechanisms (logical ``t``)."""
-        return self._processed
-
-    @property
-    def steps_enqueued(self) -> int:
-        """Points accepted at the API boundary (sync front: == ingested)."""
-        return self._enqueued
-
-    def shard_states(self) -> list[dict]:
-        """Per-shard liveness and load snapshot (diagnostics)."""
-        with self._lock:
-            return [
-                {"index": s.index, "alive": s.alive, "steps": s.steps}
-                for s in self._shards
-            ]
-
-    def memory_floats(self) -> int:
-        """Floats held by the shard mechanisms: ``K·O((d² + k·d) log T)``.
-
-        The PRIMO memory economy — ``k`` independent sharded fronts hold
-        ``k·K·O(d² log T)`` instead; ``bench_primo_serving.py`` records
-        both.
-        """
-        with self._lock:
-            total = 0
-            for shard in self._shards:
-                try:
-                    total += shard.memory_floats()
-                except ShardUnavailableError:
-                    self._note_shard_death(shard)
-            return total
-
-    def kill_shard(self, index: int) -> None:
-        """Simulate a shard worker dying (its mass is lost; merges degrade).
-
-        Same partial-coverage contract as the single-tenant front; the
-        loss applies to *every* tenant at once, because the shard held
-        one sub-stream shared by all of them.
-        """
-        index = check_int("index", index, minimum=0)
-        if index >= self.shards_count:
-            raise ValidationError(
-                f"shard index {index} out of range [0, {self.shards_count})"
-            )
-        with self._lock:
-            shard = self._shards[index]
-            shard.kill()
-            self._note_shard_death(shard)
-
-    def _note_shard_death(self, shard) -> None:
-        if not shard.alive and not shard.lost_accounted:
-            shard.lost_accounted = True
-            self.lost_steps += shard.steps
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

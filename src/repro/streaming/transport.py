@@ -147,7 +147,7 @@ class ShardSpec:
     decay: float | None = None
     window: "int | float | None" = None
     #: Multi-tenant (PRIMO) shards: active tenant names, one spawned rng
-    #: per tenant (the front computes them, so both transports consume
+    #: per tenant (the front computes them, so every transport consumes
     #: randomness identically), and the slot capacity.  ``cross_rng`` is
     #: unused for tenant shards — the per-tenant rngs replace it.
     #: ``decays`` declares the shared-Gram γ groups, ``tenant_decays``

@@ -449,6 +449,27 @@ class TestTcpFaults:
         assert all(not shard.alive for shard in server._shards)
         assert server._listener.closed
 
+    @pytest.mark.parametrize("front", ["sharded", "tenants"])
+    def test_self_hosted_front_closes_promptly(self, stream, front):
+        """Closing the owned listener wakes its blocked accept() at once:
+        the front closes well inside the listener's join deadline, and
+        the accept thread is gone afterwards."""
+        if front == "sharded":
+            server = _server(2, seed=14)
+            _feed(server, stream, BLOCKS[:2])
+        else:
+            server = MultiTenantStream(
+                L2Ball(DIM), PARAMS, tenants=("a", "b"), shards=2,
+                horizon=T, iteration_cap=12, transport="tcp", rng=14,
+            )
+            for s, e in BLOCKS[:2]:
+                ys = np.column_stack([stream.ys[s:e], -stream.ys[s:e]])
+                server.observe_batch(stream.xs[s:e], ys)
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 1.0
+        assert not server._listener._accept_thread.is_alive()
+
     def test_explicit_listener_is_not_closed_by_the_stream(self, stream):
         with ShardHostListener() as listener:
             server = _server(2, seed=14, addresses=[str(listener.address)])

@@ -619,3 +619,105 @@ class TestTenancyValidation:
         # The refused block is retryable at a fitting size.
         shard.ingest(stream.xs[3:4], outcomes[3:4, :2], False)
         assert shard.steps == 4
+
+
+# ---------------------------------------------------------------------------
+# (e) The serving front shared with ShardedStream
+# ---------------------------------------------------------------------------
+
+
+class TestSharedServingFront:
+    """The tenant front runs on ShardedStream's routing, refund, fault,
+    restart and group-ingestion code; these pin that it does so with
+    tenant shards."""
+
+    def test_refused_block_is_refunded_and_a_fitting_retry_succeeds(
+        self, stream, outcomes
+    ):
+        server = _make_stream(2, seed=19, shards=2, shard_horizon=4)
+        try:
+            server.observe_batch(stream.xs[0:3], outcomes[0:3, :2])  # shard 0
+            server.observe_batch(stream.xs[3:6], outcomes[3:6, :2])  # shard 1
+            with pytest.raises(StreamExhaustedError):
+                # shard 0 holds 3 of 4: a 2-point block cannot fit.
+                server.observe_batch(stream.xs[6:8], outcomes[6:8, :2])
+            assert server.steps_enqueued == 6 == server.steps_ingested
+            assert server.blocks_routed == 3
+            assert server.blocks_refunded == 1
+            server.observe_batch(stream.xs[6:7], outcomes[6:7, :2])
+            assert server.steps_enqueued == 7 == server.steps_ingested
+            assert server.blocks_routed - server.blocks_refunded == 3
+            served = server.flush()
+            assert all(entry.covered_steps == 7 for entry in served.values())
+        finally:
+            server.close()
+
+    def test_restart_rebuilds_the_shard_with_every_active_tenant(
+        self, stream, outcomes
+    ):
+        server = _make_stream(["a"], seed=29, shards=2, tenant_capacity=2)
+        try:
+            server.observe_batch(stream.xs[0:5], outcomes[0:5, 0])
+            server.observe_batch(stream.xs[5:6], outcomes[5:6, 0])
+            server.add_tenant("b")  # mid-stream
+            server.observe_batch(stream.xs[6:13], outcomes[6:13, :2])
+            ledger = list(server.accountant.charges)
+            for index in range(server.shards_count):
+                server.kill_shard(index)
+                server.restart_shard(index)
+            assert list(server.accountant.charges) == ledger
+            assert server.lost_steps == 13
+            server.observe_batch(stream.xs[13:20], outcomes[13:20, :2])
+            server.observe_batch(stream.xs[20:26], outcomes[20:26, :2])
+            served = server.flush()
+            for name in ("a", "b"):
+                assert served[name].covered_steps == (
+                    server.steps_ingested - server.lost_steps
+                )
+                cross, gram = server.merged_moments(name)
+                assert cross.missing == () and gram.missing == ()
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("k", TENANT_COUNTS)
+    def test_group_ingestion_matches_sequential_blocks(self, stream, outcomes, k):
+        blocks = [(stream.xs[s:e], outcomes[s:e, :k]) for s, e in RAGGED_BLOCKS]
+        # One solve at the horizon on both sides: the solver draws fresh
+        # noise per refresh, so equal θ needs an equal refresh schedule.
+        sequential = _make_stream(k, seed=41, refresh_every=T)
+        grouped = _make_stream(k, seed=41, refresh_every=T)
+        try:
+            for xs, ys in blocks:
+                sequential.observe_batch(xs, ys)
+            grouped.observe_group(blocks)
+            expected = sequential.flush()
+            got = grouped.flush()
+            assert grouped.steps_ingested == T
+            for name in sequential.tenants():
+                for seq, grp in zip(
+                    sequential.merged_moments(name), grouped.merged_moments(name)
+                ):
+                    np.testing.assert_array_equal(seq.value, grp.value)
+                    assert seq.noise_variance == grp.noise_variance
+                np.testing.assert_array_equal(expected[name].theta, got[name].theta)
+        finally:
+            sequential.close()
+            grouped.close()
+
+    def test_single_estimate_reads_point_to_the_tenant_views(self, stream, outcomes):
+        server = _make_stream(2, seed=1)
+        try:
+            reads = (
+                server.current_estimate,
+                server.current_served,
+                server.reader,
+                lambda: server.subscribe(lambda entry: None),
+                lambda: server.wait_for_version(0, timeout=0.1),
+                server.read_stats,
+                lambda: server.estimate_version,
+            )
+            for read in reads:
+                with pytest.raises(ServingError, match=r"tenant\(name\)"):
+                    read()
+        finally:
+            server.close()
