@@ -128,6 +128,7 @@ def test_ablation_budget_split(benchmark):
                 self._tree_gram = TreeMechanism(
                     HORIZON, (DIM, DIM), 2.0, gram_share, rng=3
                 )
+                self._alpha = self._moment_gradient_error()
 
         mech = UnevenReg1()
         return measure_excess(mech, stream, constraint, eval_every=64)["mean_excess"]

@@ -196,6 +196,7 @@ class PrivIncReg1:
         self.accountant = PrivacyAccountant(params, mode="basic")
         self.accountant.charge("tree:cross-moments", half)
         self.accountant.charge("tree:second-moments", half)
+        self._alpha = self._moment_gradient_error()
 
         self.steps_taken = 0
         self.estimate_version = 0
@@ -212,7 +213,13 @@ class PrivIncReg1:
         matrix is ``O(√d)``, a ``√d`` factor below Frobenius, which is how
         Theorem 4.2 lands on ``√d`` rather than ``d``), each at confidence
         ``β/2``.
+
+        A pure function of the horizon, ``d``, the budget and ``β``, so it
+        is computed once at construction and every refresh reuses it.
         """
+        return self._alpha
+
+    def _moment_gradient_error(self) -> float:
         share = self.beta / 2.0
         gram_error = self._tree_gram.error_bound_spectral(share)
         cross_error = self._tree_cross.error_bound(share)
@@ -318,8 +325,8 @@ class PrivIncReg1:
         # Symmetrize: the true moment matrix is symmetric; averaging with the
         # transpose is post-processing and only reduces the error.
         noisy_gram = 0.5 * (noisy_gram + noisy_gram.T)
-        alpha = self.gradient_error()
-        gradient_fn = PrivateGradientFunction(noisy_gram, noisy_cross, alpha)
+        alpha = self._alpha
+        gradient_fn = PrivateGradientFunction._from_checked(noisy_gram, noisy_cross, alpha)
         pgd = NoisyProjectedGradient(
             self.constraint,
             lipschitz=self._prefix_lipschitz(t),

@@ -69,6 +69,24 @@ class PrivateGradientFunction:
         self.error_bound = check_non_negative("error_bound", error_bound)
         self.dim = dim
 
+    @classmethod
+    def _from_checked(
+        cls, noisy_gram: np.ndarray, noisy_cross: np.ndarray, error_bound: float
+    ) -> "PrivateGradientFunction":
+        """Build from moments that are already known to be valid.
+
+        For the estimators' refreshes: the moments are either their own
+        tree releases (finite inputs plus Gaussian noise) or were checked
+        once by ``refresh_from_released``, so re-running the ``d²``
+        finiteness pass on the symmetrized copy would only repeat that.
+        """
+        function = cls.__new__(cls)
+        function.noisy_gram = noisy_gram
+        function.noisy_cross = noisy_cross
+        function.error_bound = error_bound
+        function.dim = noisy_gram.shape[0]
+        return function
+
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate ``g(θ) = 2(Qθ − q)`` (free post-processing)."""
         theta = np.asarray(theta, dtype=float)

@@ -367,7 +367,7 @@ class PrivIncReg2:
         """Steps 7-9 against the released projected moments at logical ``t``."""
         noisy_gram = 0.5 * (noisy_gram + noisy_gram.T)
         alpha = self.gradient_error()
-        gradient_fn = PrivateGradientFunction(noisy_gram, noisy_cross, alpha)
+        gradient_fn = PrivateGradientFunction._from_checked(noisy_gram, noisy_cross, alpha)
         pgd = NoisyProjectedGradient(
             self.projected_constraint,
             lipschitz=self._prefix_lipschitz(t),

@@ -235,7 +235,7 @@ class UnboundedPrivIncReg:
         """One PGD refresh against the released moments at logical ``t``."""
         noisy_gram = 0.5 * (noisy_gram + noisy_gram.T)
         alpha = self.gradient_error()
-        gradient_fn = PrivateGradientFunction(noisy_gram, noisy_cross, alpha)
+        gradient_fn = PrivateGradientFunction._from_checked(noisy_gram, noisy_cross, alpha)
         lipschitz = 2.0 * t * (self.constraint.diameter() + 1.0)
         pgd = NoisyProjectedGradient(
             self.constraint,

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .._validation import check_int, check_non_negative, check_positive
+from .._validation import check_int, check_non_negative, check_positive, check_vector
 from ..geometry.base import ConvexSet
 
 __all__ = ["NoisyProjectedGradient", "noisy_pgd_iterations"]
@@ -128,16 +128,30 @@ class NoisyProjectedGradient:
         start:
             Optional feasible starting point ``θ_1`` (defaults to
             ``P_C(0)``; the Appendix-B analysis permits any ``θ_1 ∈ C``).
+
+        Raises
+        ------
+        ValidationError
+            If ``start`` is not a finite ``d``-vector, the first oracle
+            output is not one, or the iterate average is not finite.  The
+            loop itself projects without checks: a non-finite gradient at
+            any step makes that iterate, and so the average, non-finite
+            (the :meth:`~repro.geometry.base.ConvexSet._project` contract).
         """
+        constraint = self.constraint
         if start is None:
-            theta = self.constraint.project(np.zeros(self.constraint.dim))
-        else:
-            theta = self.constraint.project(np.asarray(start, dtype=float))
+            start = np.zeros(constraint.dim)
+        theta = constraint.project(start)
+        project = constraint._project
+        step_size = self.step_size
         iterate_sum = np.zeros_like(theta)
-        for _ in range(self.iterations):
-            theta = self.constraint.project(theta - self.step_size * gradient_oracle(theta))
+        for k in range(self.iterations):
+            gradient = gradient_oracle(theta)
+            if k == 0:
+                check_vector("gradient", gradient, dim=constraint.dim)
+            theta = project(theta - step_size * gradient)
             iterate_sum += theta
-        return iterate_sum / self.iterations
+        return check_vector("iterate average", iterate_sum / self.iterations)
 
     def risk_bound(self) -> float:
         """Proposition B.1's guarantee ``(α+L)‖C‖/√r + α‖C‖``."""

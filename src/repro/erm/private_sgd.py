@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .._validation import check_int, check_rng
+from .._validation import check_int, check_rng, check_vector
 from ..exceptions import ValidationError
 from ..geometry.base import ConvexSet
 from ..privacy.parameters import PrivacyParams
@@ -124,16 +124,22 @@ class NoisySGD:
         diameter = self.constraint.diameter()
 
         theta = self.constraint.project(np.zeros(dim))
+        project = self.constraint._project
         iterate_sum = np.zeros(dim)
         indices = self._rng.integers(0, n, size=steps)
         noise = self._rng.normal(0.0, sigma, size=(steps, dim))
+        # Checked at the boundaries only (first gradient, returned average):
+        # a non-finite gradient at any step leaves its iterate, and so the
+        # average, non-finite (the ConvexSet._project contract).
         for k in range(steps):
             i = indices[k]
             grad = n * self.loss.gradient(theta, xs[i], ys[i]) + noise[k]
+            if k == 0:
+                check_vector("gradient", grad, dim=dim)
             step_size = diameter / (gradient_norm_bound * math.sqrt(k + 1.0))
-            theta = self.constraint.project(theta - step_size * grad)
+            theta = project(theta - step_size * grad)
             iterate_sum += theta
-        return iterate_sum / steps
+        return check_vector("iterate average", iterate_sum / steps)
 
     def excess_risk_bound(self, n: int, dim: int) -> float:
         """The BST14 guarantee shape ``√d·polylog · L‖C‖ / ε`` (a reference value).

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .._validation import check_int
+from .._validation import check_int, check_vector
 from ..geometry.base import ConvexSet
 from .objective import QuadraticRisk
 
@@ -58,6 +58,12 @@ def fista_quadratic(
     -------
     numpy.ndarray
         A feasible (approximate) minimizer.
+
+    Raises
+    ------
+    ValidationError
+        If ``start`` or the first gradient is not a finite ``d``-vector,
+        or the result is not finite.
     """
     iterations = check_int("iterations", iterations, minimum=1)
     if risk.n_points == 0:
@@ -66,18 +72,22 @@ def fista_quadratic(
     if smoothness <= 0:
         return constraint.project(np.zeros(risk.dim))
     step = 1.0 / smoothness
-    theta = constraint.project(np.zeros(risk.dim)) if start is None else np.asarray(start, float)
+    theta = _checked_start(constraint, start)
+    project = constraint._project
     momentum = theta.copy()
     t_prev = 1.0
-    for _ in range(iterations):
-        new_theta = constraint.project(momentum - step * risk.gradient(momentum))
+    for k in range(iterations):
+        gradient = risk.gradient(momentum)
+        if k == 0:
+            check_vector("gradient", gradient, dim=constraint.dim)
+        new_theta = project(momentum - step * gradient)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
         momentum = new_theta + ((t_prev - 1.0) / t_next) * (new_theta - theta)
         if float(np.linalg.norm(new_theta - theta) ** 2) < tol:
             theta = new_theta
             break
         theta, t_prev = new_theta, t_next
-    return theta
+    return check_vector("solution", theta)
 
 
 def projected_gradient(
@@ -106,16 +116,38 @@ def projected_gradient(
     average:
         If True (default) return the iterate average (the estimator the
         Appendix-B analysis bounds); otherwise return the last iterate.
+
+    Raises
+    ------
+    ValidationError
+        If ``start`` or the first gradient is not a finite ``d``-vector,
+        or the result is not finite.
     """
     iterations = check_int("iterations", iterations, minimum=1)
-    theta = constraint.project(np.zeros(constraint.dim)) if start is None else np.asarray(start, float)
+    theta = _checked_start(constraint, start)
+    project = constraint._project
     running_sum = np.zeros_like(theta)
-    for _ in range(iterations):
-        theta = constraint.project(theta - step_size * gradient(theta))
+    for k in range(iterations):
+        direction = gradient(theta)
+        if k == 0:
+            check_vector("gradient", direction, dim=constraint.dim)
+        theta = project(theta - step_size * direction)
         running_sum += theta
-    if average:
-        return running_sum / iterations
-    return theta
+    return check_vector("solution", running_sum / iterations if average else theta)
+
+
+def _checked_start(constraint: ConvexSet, start: np.ndarray | None) -> np.ndarray:
+    """The first iterate of a projected loop: ``P_C(0)`` or a checked ``start``.
+
+    The loops validate at their boundaries only — this start point, the
+    first gradient and the returned point — and project every iterate
+    with the unchecked :meth:`~repro.geometry.base.ConvexSet._project`.
+    A non-finite gradient at any step leaves every later iterate
+    non-finite (that method's contract), so the final check still sees it.
+    """
+    if start is None:
+        return constraint.project(np.zeros(constraint.dim))
+    return check_vector("start", start, dim=constraint.dim)
 
 
 def exact_least_squares(

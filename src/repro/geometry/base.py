@@ -18,7 +18,7 @@ import abc
 
 import numpy as np
 
-from .._validation import check_vector
+from .._validation import check_finite, check_vector
 from .width import monte_carlo_width
 
 __all__ = ["PointSet", "ConvexSet"]
@@ -80,16 +80,37 @@ class ConvexSet(PointSet):
 
     Every constraint set in the paper (§5.2: Lp balls, simplex, polytopes,
     group-L1 balls) implements this interface.
+
+    Projection is split in two.  :meth:`project` is the public, checked
+    entry point; subclasses implement only :meth:`_project`, the trusted
+    kernel that the solvers' iterate loops call directly (their iterates
+    are validated once at the loop boundaries, not at every step).
     """
 
-    @abc.abstractmethod
     def project(self, point: np.ndarray) -> np.ndarray:
         """Euclidean projection ``P_C(z) = argmin_{θ∈C} ‖θ − z‖``.
+
+        Validates ``point`` (a finite vector of dimension ``d``) and
+        returns a fresh array that never aliases the argument.
 
         Projection is non-expansive (``‖P(a) − P(b)‖ ≤ ‖a − b‖``), the
         property the Appendix-B convergence proof relies on; the property
         tests in ``tests/test_geometry_properties.py`` verify it for every
         implementation.
+        """
+        point = self._check_point("point", point)
+        return self._project(point).copy()
+
+    @abc.abstractmethod
+    def _project(self, point: np.ndarray) -> np.ndarray:
+        """The projection kernel behind :meth:`project`, without checks.
+
+        ``point`` is trusted to be a finite float array of shape ``(d,)``;
+        the result may be ``point`` itself.  Given a non-finite array the
+        kernel must return an array with a non-finite entry or raise
+        :class:`~repro.exceptions.ValidationError` — never a finite result
+        or another error — so a solver's single finiteness check on its
+        output catches a bad iterate anywhere in the loop.
         """
 
     @abc.abstractmethod
@@ -110,4 +131,5 @@ class ConvexSet(PointSet):
         """
         point = self._check_point("point", point)
         target = self._check_point("target", target)
-        return self.project(point + step * (target - point))
+        step = check_finite("step", step)
+        return self._project(point + step * (target - point))

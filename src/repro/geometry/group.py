@@ -59,7 +59,9 @@ class GroupL1Ball(ConvexSet):
 
     def block_norms(self, point: np.ndarray) -> np.ndarray:
         """The vector of per-block L2 norms."""
-        point = self._check_point("point", point)
+        return self._block_norms(self._check_point("point", point))
+
+    def _block_norms(self, point: np.ndarray) -> np.ndarray:
         return np.array([np.linalg.norm(point[s]) for s in self._slices])
 
     def norm(self, point: np.ndarray) -> float:
@@ -71,11 +73,10 @@ class GroupL1Ball(ConvexSet):
     def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
         return self.norm(point) <= self.radius + tol
 
-    def project(self, point: np.ndarray) -> np.ndarray:
-        point = self._check_point("point", point)
-        norms = self.block_norms(point)
+    def _project(self, point: np.ndarray) -> np.ndarray:
+        norms = self._block_norms(point)
         if norms.sum() <= self.radius:
-            return point.copy()
+            return point
         new_norms = project_onto_l1_ball(norms, self.radius)
         result = np.zeros_like(point)
         for block_slice, old, new in zip(self._slices, norms, new_norms):
@@ -89,7 +90,7 @@ class GroupL1Ball(ConvexSet):
     def support(self, direction: np.ndarray) -> float:
         """Dual norm: ``radius · max_i ‖g_{block i}‖₂``."""
         direction = self._check_point("direction", direction)
-        return self.radius * float(self.block_norms(direction).max())
+        return self.radius * float(self._block_norms(direction).max())
 
     def diameter(self) -> float:
         """``sup ‖θ‖₂ = radius`` (concentrate the budget on one block)."""

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from ..exceptions import ValidationError
 from .base import ConvexSet
 from .width import expected_max_gaussian
 
@@ -28,11 +29,14 @@ def project_onto_simplex(point: np.ndarray) -> np.ndarray:
 
     Sort-based algorithm (Held-Wolfe-Crowder 1974 / Duchi et al. 2008):
     find the largest ``ρ`` with ``z_(ρ) − (Σ_{j≤ρ} z_(j) − 1)/ρ > 0`` and
-    shift-clip at that threshold.
+    shift-clip at that threshold.  A non-finite point raises
+    :class:`ValidationError`.
     """
     point = np.asarray(point, dtype=float)
     sorted_desc = np.sort(point)[::-1]
     cumulative = np.cumsum(sorted_desc) - 1.0
+    if not math.isfinite(cumulative[-1]):
+        raise ValidationError("point must contain only finite entries")
     indices = np.arange(1, point.size + 1)
     rho = np.nonzero(sorted_desc * indices > cumulative)[0][-1]
     threshold = cumulative[rho] / (rho + 1.0)
@@ -46,8 +50,7 @@ class Simplex(ConvexSet):
         point = self._check_point("point", point)
         return bool(np.all(point >= -tol) and abs(point.sum() - 1.0) <= tol)
 
-    def project(self, point: np.ndarray) -> np.ndarray:
-        point = self._check_point("point", point)
+    def _project(self, point: np.ndarray) -> np.ndarray:
         return project_onto_simplex(point)
 
     def gauge(self, point: np.ndarray) -> float:

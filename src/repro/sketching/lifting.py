@@ -125,11 +125,13 @@ def _lift_generic(
     ``‖Φθ − ϑ‖²`` over ``ρC`` with accelerated projected gradient; the
     residual tells us whether ``ρ`` is large enough.  This needs only the
     set's projection operator, so it works for every
-    :class:`~repro.geometry.base.ConvexSet`.
+    :class:`~repro.geometry.base.ConvexSet`.  ``Φ`` and ``ϑ`` are checked
+    by :func:`lift`, so every iterate is finite and the loop uses the
+    unchecked projection kernel.
     """
 
     def residual_at(rho: float) -> tuple[float, np.ndarray]:
-        scaled_project = lambda z: rho * constraint.project(z / rho)  # noqa: E731
+        scaled_project = lambda z: rho * constraint._project(z / rho)  # noqa: E731
         theta = scaled_project(np.zeros(phi.shape[1]))
         momentum = theta.copy()
         t_prev = 1.0

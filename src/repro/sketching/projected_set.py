@@ -65,7 +65,12 @@ class ProjectedConvexSet(ConvexSet):
     # ------------------------------------------------------------------
 
     def preimage_project(self, target: np.ndarray) -> np.ndarray:
-        """``argmin_{θ∈C} ‖Φθ − target‖²`` via warm-started FISTA."""
+        """``argmin_{θ∈C} ‖Φθ − target‖²`` via warm-started FISTA.
+
+        ``target`` is validated once here; the loop projects onto ``C``
+        with the unchecked kernel (every iterate stays finite because the
+        target, ``Φ`` and the warm start are).
+        """
         target = self._check_point("target", target)
         lipschitz = 2.0 * self._spectral_norm**2 + 1e-12
         step = 1.0 / lipschitz
@@ -74,20 +79,25 @@ class ProjectedConvexSet(ConvexSet):
         t_prev = 1.0
         for _ in range(self.solver_iterations):
             gradient = 2.0 * self.phi.T @ (self.phi @ momentum - target)
-            new_theta = self.base.project(momentum - step * gradient)
+            new_theta = self.base._project(momentum - step * gradient)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
             momentum = new_theta + ((t_prev - 1.0) / t_next) * (new_theta - theta)
             theta, t_prev = new_theta, t_next
         self._warm_theta = theta
         return theta
 
-    def project(self, point: np.ndarray) -> np.ndarray:
-        """``P_{ΦC}(z) = Φ · argmin_{θ∈C} ‖Φθ − z‖²``."""
+    def _project(self, point: np.ndarray) -> np.ndarray:
+        """``P_{ΦC}(z) = Φ · argmin_{θ∈C} ‖Φθ − z‖²``.
+
+        Goes through the checked :meth:`preimage_project` even here: one
+        check per query is noise next to the FISTA loop, and it keeps a
+        non-finite query from poisoning the warm start.
+        """
         return self.phi @ self.preimage_project(point)
 
     def contains(self, point: np.ndarray, tol: float = 1e-6) -> bool:
         point = self._check_point("point", point)
-        projected = self.project(point)
+        projected = self._project(point)
         return float(np.linalg.norm(projected - point)) <= max(tol, 1e-6)
 
     def gauge(self, point: np.ndarray) -> float:
