@@ -85,6 +85,13 @@ def solve_schedule(t0: int, t1: int, solve_every: int, horizon: int) -> list[int
     ]
 
 
+def _check_logical_t(t: int | float) -> int | float:
+    """A refresh's logical sample count: a positive int or positive float."""
+    if isinstance(t, (int, np.integer)) and not isinstance(t, bool):
+        return check_int("t", t, minimum=1)
+    return check_positive("t", t)
+
+
 class PrivIncReg1:
     """Private incremental linear regression via the Tree Mechanism (Alg. 2).
 
@@ -322,6 +329,14 @@ class PrivIncReg1:
         self, t: float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
     ) -> None:
         """One PGD refresh against the released moments at logical ``t``."""
+        self._theta = self._run_pgd(t, noisy_gram, noisy_cross, self._theta)
+        self.estimate_version += 1
+
+    def _run_pgd(
+        self, t: float, noisy_gram: np.ndarray, noisy_cross: np.ndarray, start: np.ndarray
+    ) -> np.ndarray:
+        """The refresh's PGD from ``start``: one ``(d,)`` iterate against a
+        ``(d,)`` cross, or a ``(k, d)`` stack against a ``(k, d)`` cross."""
         # Symmetrize: the true moment matrix is symmetric; averaging with the
         # transpose is post-processing and only reduces the error.
         noisy_gram = 0.5 * (noisy_gram + noisy_gram.T)
@@ -333,8 +348,7 @@ class PrivIncReg1:
             gradient_error=alpha,
             iterations=self._iterations(t, alpha),
         )
-        self._theta = pgd.run(gradient_fn, start=self._theta)
-        self.estimate_version += 1
+        return pgd.run(gradient_fn, start=start)
 
     def refresh_from_released(
         self, t: int | float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
@@ -355,14 +369,68 @@ class PrivIncReg1:
         the γ-series ``Σ γ^{t−i}`` or the covered window count — as the
         logical sample count the Lipschitz sizing uses.
         """
-        if isinstance(t, (int, np.integer)) and not isinstance(t, bool):
-            t = check_int("t", t, minimum=1)
-        else:
-            t = check_positive("t", t)
+        t = _check_logical_t(t)
         noisy_gram = check_matrix("noisy_gram", noisy_gram, shape=(self.dim, self.dim))
         noisy_cross = check_vector("noisy_cross", noisy_cross, dim=self.dim)
         self._solve_at(t, noisy_gram, noisy_cross)
         return self._theta.copy()
+
+    @staticmethod
+    def refresh_group_from_released(
+        solvers, t: int | float, noisy_gram: np.ndarray, noisy_crosses: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`refresh_from_released` for ``k`` solvers sharing one Gram.
+
+        The PRIMO refresh: ``k`` outcome models whose released moments
+        share ``noisy_gram`` and differ only in their crosses (row ``i``
+        of the ``(k, d)`` ``noisy_crosses`` belongs to ``solvers[i]``).
+        The Gram is validated and symmetrized once and all ``k`` warm
+        starts advance in one stacked
+        :class:`~repro.erm.noisy_pgd.NoisyProjectedGradient` loop.  Every
+        solver ends bit-identical to its own ``refresh_from_released(t,
+        noisy_gram, noisy_crosses[i])``: same θ, ``estimate_version``
+        bumped once.  ``k = 1`` runs the single-estimate ``(d,)`` loop, and
+        so does every solver in turn when the constraint's projection
+        keeps a warm start (``ConvexSet._projection_has_memory``).
+
+        The solvers must share the knobs that size the solve (the
+        constraint object, ``α``, fidelity, iteration cap, horizon) — true
+        of solvers built from one set of arguments.  Atomic: every check,
+        including the solve's own output check, runs before any solver
+        changes.  Returns the ``(k, d)`` refreshed parameters.
+        """
+        solvers = list(solvers)
+        if not solvers:
+            raise ValidationError("refresh_group_from_released needs at least one solver")
+        first = solvers[0]
+
+        def sizing(s):
+            return (s.constraint, s._alpha, s.fidelity, s.iteration_cap, s.horizon)
+
+        if any(sizing(solver) != sizing(first) for solver in solvers[1:]):
+            raise ValidationError(
+                "a group refresh needs solvers that share the constraint, "
+                "gradient error, fidelity, iteration cap and horizon"
+            )
+        t = _check_logical_t(t)
+        noisy_gram = check_matrix("noisy_gram", noisy_gram, shape=(first.dim, first.dim))
+        noisy_crosses = check_matrix(
+            "noisy_crosses", noisy_crosses, shape=(len(solvers), first.dim)
+        )
+        if len(solvers) == 1 or first.constraint._projection_has_memory:
+            # One (d,) loop per solver, in order: a stack would interleave
+            # the projection's warm starts across solvers.
+            thetas = np.stack([
+                solver._run_pgd(t, noisy_gram, cross, solver._theta)
+                for solver, cross in zip(solvers, noisy_crosses)
+            ])
+        else:
+            start = np.stack([solver._theta for solver in solvers])
+            thetas = first._run_pgd(t, noisy_gram, noisy_crosses, start)
+        for solver, theta in zip(solvers, thetas):
+            solver._theta = theta.copy()
+            solver.estimate_version += 1
+        return thetas
 
     def current_estimate(self) -> np.ndarray:
         """The most recently released parameter (post-processing, free)."""

@@ -43,7 +43,9 @@ class PrivateGradientFunction:
         The noisy second-moment matrix ``Q`` (shape ``(d, d)``); callers
         should symmetrize before passing if exact symmetry matters.
     noisy_cross:
-        The noisy cross-moment vector ``q`` (shape ``(d,)``).
+        The noisy cross-moment vector ``q`` (shape ``(d,)``), or a
+        ``(k, d)`` stack of them: ``k`` outcomes sharing the one Gram
+        (PRIMO), evaluated together at a ``(k, d)`` stack of points.
     error_bound:
         A high-probability bound ``α`` on ``sup_{θ∈C} ‖g(θ) − ∇L(θ)‖``
         (Definition 5(ii)); consumed by the PGD step-size rule.
@@ -65,7 +67,12 @@ class PrivateGradientFunction:
         dim = self.noisy_gram.shape[0]
         if self.noisy_gram.shape != (dim, dim):
             raise ValueError(f"noisy_gram must be square, got {self.noisy_gram.shape}")
-        self.noisy_cross = check_vector("noisy_cross", noisy_cross, dim=dim)
+        if np.ndim(noisy_cross) == 2:
+            self.noisy_cross = check_matrix(
+                "noisy_cross", noisy_cross, shape=(np.shape(noisy_cross)[0], dim)
+            )
+        else:
+            self.noisy_cross = check_vector("noisy_cross", noisy_cross, dim=dim)
         self.error_bound = check_non_negative("error_bound", error_bound)
         self.dim = dim
 
@@ -88,8 +95,17 @@ class PrivateGradientFunction:
         return function
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
-        """Evaluate ``g(θ) = 2(Qθ − q)`` (free post-processing)."""
+        """Evaluate ``g(θ) = 2(Qθ − q)`` (free post-processing).
+
+        A ``(k, d)`` ``θ`` is evaluated row by row against a ``(k, d)``
+        cross: the stacked matmul makes one ``gemv`` call per row with the
+        strides of ``Q @ θ[i]``, so row ``i`` is bit-identical to the
+        single-outcome evaluation.
+        """
         theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 2:
+            product = np.matmul(self.noisy_gram, theta[:, :, None])[:, :, 0]
+            return 2.0 * (product - self.noisy_cross)
         return 2.0 * (self.noisy_gram @ theta - self.noisy_cross)
 
     @staticmethod

@@ -30,7 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .._validation import check_int, check_non_negative, check_positive, check_vector
+from .._validation import check_int, check_matrix, check_non_negative, check_positive
+from ..exceptions import ValidationError
 from ..geometry.base import ConvexSet
 
 __all__ = ["NoisyProjectedGradient", "noisy_pgd_iterations"]
@@ -64,6 +65,17 @@ def noisy_pgd_iterations(
     if cap is None:
         return max(exact, 1)
     return max(min(exact, int(cap)), 1)
+
+
+def _check_gradient(gradient, shape: tuple[int, ...]) -> None:
+    """The first oracle output: finite, and exactly the iterate's shape
+    (a ``(d,)`` gradient must not broadcast over a ``(k, d)`` stack)."""
+    if np.shape(gradient) != shape:
+        raise ValidationError(
+            f"gradient must have the iterate's shape {shape}, got {np.shape(gradient)}"
+        )
+    if not np.all(np.isfinite(gradient)):
+        raise ValidationError("gradient must contain only finite entries")
 
 
 class NoisyProjectedGradient:
@@ -123,17 +135,25 @@ class NoisyProjectedGradient:
         ----------
         gradient_oracle:
             The private gradient function ``g`` — any callable mapping a
-            feasible ``θ`` to an approximate gradient.  Post-processing of a
-            private release, so evaluations are privacy-free.
+            feasible ``θ`` to an approximate gradient of the same shape.
+            Post-processing of a private release, so evaluations are
+            privacy-free.
         start:
             Optional feasible starting point ``θ_1`` (defaults to
             ``P_C(0)``; the Appendix-B analysis permits any ``θ_1 ∈ C``).
+            A ``(k, d)`` stack runs ``k`` independent problems in one
+            loop: every row takes the same steps it would take alone, bit
+            for bit, because the step and the running sum are elementwise
+            and the rows are projected with
+            :meth:`~repro.geometry.base.ConvexSet._project_rows`.  The
+            oracle then maps the stack to a ``(k, d)`` stack of gradients.
 
         Raises
         ------
         ValidationError
-            If ``start`` is not a finite ``d``-vector, the first oracle
-            output is not one, or the iterate average is not finite.  The
+            If ``start`` is not a finite ``d``-vector or ``(k, d)`` stack,
+            the first oracle output is not finite or not exactly the
+            iterate's shape, or the iterate average is not finite.  The
             loop itself projects without checks: a non-finite gradient at
             any step makes that iterate, and so the average, non-finite
             (the :meth:`~repro.geometry.base.ConvexSet._project` contract).
@@ -141,17 +161,26 @@ class NoisyProjectedGradient:
         constraint = self.constraint
         if start is None:
             start = np.zeros(constraint.dim)
-        theta = constraint.project(start)
-        project = constraint._project
+        if np.ndim(start) == 2:
+            # Checked once here, like ``project`` does for one point.
+            rows = check_matrix("start", start, shape=(len(start), constraint.dim))
+            theta = constraint._project_rows(rows)
+            project = constraint._project_rows
+        else:
+            theta = constraint.project(start)
+            project = constraint._project
         step_size = self.step_size
         iterate_sum = np.zeros_like(theta)
         for k in range(self.iterations):
             gradient = gradient_oracle(theta)
             if k == 0:
-                check_vector("gradient", gradient, dim=constraint.dim)
+                _check_gradient(gradient, theta.shape)
             theta = project(theta - step_size * gradient)
             iterate_sum += theta
-        return check_vector("iterate average", iterate_sum / self.iterations)
+        average = iterate_sum / self.iterations
+        if not np.all(np.isfinite(average)):
+            raise ValidationError("iterate average must contain only finite entries")
+        return average
 
     def risk_bound(self) -> float:
         """Proposition B.1's guarantee ``(α+L)‖C‖/√r + α‖C‖``."""

@@ -80,6 +80,18 @@ class L2Ball(ConvexSet):
             return point
         return point * (self.radius / norm)
 
+    def _project_rows(self, points: np.ndarray) -> np.ndarray:
+        # One ``ddot`` per row through the stacked matmul, the same call as
+        # ``p.dot(p)``.  Rows outside get ``radius / norm``, rows inside a
+        # scale of exactly 1.0 (``x * 1.0`` is ``x``, bit for bit).  The
+        # mask mirrors ``norm <= radius`` above, so a NaN row is scaled
+        # (to NaN) exactly as ``_project`` scales it.
+        norms = np.sqrt(np.matmul(points[:, None, :], points[:, :, None])[:, 0])
+        scale = np.divide(
+            self.radius, norms, out=np.ones_like(norms), where=~(norms <= self.radius)
+        )
+        return points * scale
+
     def gauge(self, point: np.ndarray) -> float:
         point = self._check_point("point", point)
         return float(np.linalg.norm(point)) / self.radius

@@ -85,7 +85,15 @@ class ConvexSet(PointSet):
     entry point; subclasses implement only :meth:`_project`, the trusted
     kernel that the solvers' iterate loops call directly (their iterates
     are validated once at the loop boundaries, not at every step).
+    :meth:`_project_rows` is the same kernel over a ``(k, d)`` stack of
+    iterates, for solvers that advance ``k`` problems in one loop.
     """
+
+    #: Whether :meth:`_project` depends on earlier calls (a warm-started
+    #: inner solver).  A stacked loop interleaves its rows' projections,
+    #: so it matches solving the rows one after another only when this is
+    #: false; group refreshes fall back to sequential solves otherwise.
+    _projection_has_memory = False
 
     def project(self, point: np.ndarray) -> np.ndarray:
         """Euclidean projection ``P_C(z) = argmin_{θ∈C} ‖θ − z‖``.
@@ -112,6 +120,19 @@ class ConvexSet(PointSet):
         or another error — so a solver's single finiteness check on its
         output catches a bad iterate anywhere in the loop.
         """
+
+    def _project_rows(self, points: np.ndarray) -> np.ndarray:
+        """Project every row of a ``(k, d)`` stack, without checks.
+
+        The stacked solvers' kernel: row ``i`` of the result is
+        bit-identical to ``_project(points[i])`` (called in row order),
+        and the :meth:`_project` contract on non-finite input holds row
+        by row.  ``points`` is trusted to be a float array of shape
+        ``(k, d)``; the result may be ``points`` itself but the kernel
+        never writes into it.  This default loops over :meth:`_project`;
+        sets with a batched form override it.
+        """
+        return np.stack([self._project(point) for point in points])
 
     @abc.abstractmethod
     def gauge(self, point: np.ndarray) -> float:

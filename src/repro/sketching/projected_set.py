@@ -49,6 +49,9 @@ class ProjectedConvexSet(ConvexSet):
     that sharper value can pass it to the PGD step-size rule directly.
     """
 
+    #: Each query warm-starts from the previous query's solution.
+    _projection_has_memory = True
+
     def __init__(self, phi: np.ndarray, base: ConvexSet, solver_iterations: int = 200) -> None:
         phi = check_matrix("phi", phi)
         if phi.shape[1] != base.dim:

@@ -123,10 +123,10 @@ class MultiTenantStream(ShardedStream):
     one of ``K`` :class:`~repro.streaming.serving.TenantShard` workers;
     the shard advances its **shared** Gram tree once and each active
     tenant's cross tree with that tenant's outcome column.  At refresh
-    points the Gram releases are merged once and reused for every
-    tenant's solve, so ingest and merge cost grow like ``d² + k·d``
-    instead of the ``k·d²`` that ``k`` independent
-    :class:`~repro.streaming.serving.ShardedStream` fronts pay
+    points the Gram releases are merged once and every tenant sharing
+    that Gram is solved in one stacked PGD, so ingest and merge cost
+    grow like ``d² + k·d`` instead of the ``k·d²`` that ``k``
+    independent :class:`~repro.streaming.serving.ShardedStream` fronts pay
     (``benchmarks/bench_primo_serving.py`` measures the gap).
 
     A :class:`~repro.streaming.serving.ShardedStream` subclass: the
@@ -536,35 +536,49 @@ class MultiTenantStream(ShardedStream):
         the tenant's own covered mass (the unbiased second-moment
         estimate over its window).  Tenants with zero coverage keep their
         previous estimate.
+
+        Tenants that share a γ group and a coverage (weight and steps)
+        see the same rescaled Gram and the same solve size, so each such
+        group is solved in one stacked PGD
+        (:meth:`~repro.core.incremental_regression.PrivIncReg1.refresh_group_from_released`),
+        bit-identical to solving its tenants one by one.  Publishes stay
+        per tenant, in slot order within each group.
         """
         handles = [self._released_handles(shard) for shard in self._shards]
         grams = {
             g: _merge_slot(handles, 1, gi) for gi, g in enumerate(self.decays)
         }
-        for j, (name, solver) in enumerate(self._solvers.items()):
+        groups: dict[tuple, list] = {}
+        for j, name in enumerate(self._solvers):
             cross = _merge_slot(handles, 0, j)
-            covered = cross.covered_steps
-            if covered == 0:
+            if cross.covered_steps == 0:
                 continue
-            gram = grams[self._tenant_decays[name]]
+            key = (self._tenant_decays[name], cross.covered_weight, cross.covered_steps)
+            groups.setdefault(key, []).append((name, cross.value))
+        for (g, weight, covered), members in groups.items():
+            gram = grams[g]
             gram_value = gram.value
             # Coverage (and under γ < 1, effective weight) can differ
             # between a mid-stream tenant's crosses and the shared Gram;
-            # rescale to the tenant's own weight.  Skipped — not applied
+            # rescale to the tenants' own weight.  Skipped — not applied
             # with factor 1.0 — whenever the weights agree, which keeps
             # from-the-start tenants (and with them the k = 1 stream)
             # bit-identical to the single-tenant path.
-            weight = cross.covered_weight
             if weight != gram.covered_weight:
                 gram_value = gram_value * (weight / gram.covered_weight)
             t_solve = weight if weight != covered else covered
-            theta = solver.refresh_from_released(t_solve, gram_value, cross.value)
-            self._views[name]._hub.publish(
-                theta,
-                solver.estimate_version,
-                timestep=self._processed,
-                covered_steps=covered,
+            names, crosses = zip(*members)
+            solvers = [self._solvers[name] for name in names]
+            thetas = PrivIncReg1.refresh_group_from_released(
+                solvers, t_solve, gram_value, np.stack(crosses)
             )
+            for name, solver, theta in zip(names, solvers, thetas):
+                self._views[name]._hub.publish(
+                    theta,
+                    solver.estimate_version,
+                    timestep=self._processed,
+                    covered_steps=covered,
+                )
         self._last_refresh_t = self._processed
 
     def merged_moments(self, name: str) -> tuple[MergedRelease, MergedRelease]:

@@ -7,7 +7,8 @@ import pytest
 
 from repro import PrivacyParams, TreeMechanism
 from repro.exceptions import StreamExhaustedError, ValidationError
-from repro.privacy import tree_error_bound, tree_levels
+from repro.privacy import HybridMechanism, tree_error_bound, tree_levels
+from repro.privacy.release import DecayedTreeMechanism, SlidingWindowMechanism
 
 HUGE_EPS = PrivacyParams(1e9, 0.5)  # effectively zero noise
 NORMAL = PrivacyParams(1.0, 1e-6)
@@ -200,3 +201,44 @@ class TestActiveMaskRegression:
             mech.observe(np.zeros(2))
             expected = [(t >> j) & 1 == 1 for j in range(mech.levels)]
             assert list(mech._active) == expected
+
+
+#: Every mechanism that inherits the tree's batch kernels: the plain tree,
+#: a hybrid (epoch trees), a finite window (chunk trees), a γ=1 decayed tree.
+BLOCK_MECHANISMS = {
+    "tree": lambda shape, rng: TreeMechanism(256, shape, 2.0, NORMAL, rng=rng),
+    "hybrid": lambda shape, rng: HybridMechanism(shape, 2.0, NORMAL, rng=rng),
+    "window": lambda shape, rng: SlidingWindowMechanism(200, shape, 2.0, NORMAL, rng=rng),
+    "decayed-1": lambda shape, rng: DecayedTreeMechanism(
+        256, shape, 2.0, NORMAL, rng=rng, decay=1.0
+    ),
+}
+
+
+class TestBlockKernelsMatchObserveLoop:
+    """``observe_batch`` and ``advance_batch`` against literal ``observe``
+    calls, so a change in the block's addition order cannot hide behind a
+    replay that batches on both sides.  The ``(64, 64)`` elements take the
+    row-loop accumulation, the ``(8,)`` elements the cumsum; the block
+    starts at step 5 and crosses the level boundary at step 64."""
+
+    @pytest.mark.parametrize("shape", [(64, 64), (8,)], ids=["gram64", "vec8"])
+    @pytest.mark.parametrize("kind", sorted(BLOCK_MECHANISMS))
+    def test_block_equals_sequential_observes(self, kind, shape):
+        make = BLOCK_MECHANISMS[kind]
+        rng = np.random.default_rng(41)
+        # Magnitudes over 16 decades: any reordering of the additions
+        # changes the low bits.
+        data = rng.normal(size=(72,) + shape) * 10.0 ** rng.uniform(-8, 8, size=(72,) + shape)
+        head, block, tail = data[:5], data[5:69], data[69:]
+        seq, bat, adv = make(shape, 7), make(shape, 7), make(shape, 7)
+        for mech in (seq, bat, adv):
+            for value in head:
+                mech.observe(value)
+        expected = np.stack([seq.observe(value) for value in block])
+        assert np.array_equal(bat.observe_batch(block), expected)
+        assert np.array_equal(adv.advance_batch(block), expected[-1])
+        for value in tail:  # the committed state carries on identically
+            release = seq.observe(value)
+            assert np.array_equal(bat.observe(value), release)
+            assert np.array_equal(adv.observe(value), release)
