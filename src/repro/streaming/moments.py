@@ -9,20 +9,23 @@ generalization point:
 
 * :class:`MomentStatistic` — one named statistic: a shape, a per-element
   accumulation rule (the exact tier), a pre-reduced block-total rule (the
-  fast tier), and a budget weight.
+  fast tier), a budget weight, and an optional per-entry forgetting
+  factor.
 * :class:`MomentBundle` — an *ordered* set of statistics, each backed by
   its own release mechanism from
   :func:`~repro.privacy.release.make_release_mechanism`, advanced in
-  lockstep over the shard's sub-stream.
+  lockstep over the shard's sub-stream.  Entries may be added and removed
+  at runtime (:meth:`MomentBundle.add` / :meth:`MomentBundle.remove`).
 
-The shard classes in :mod:`repro.streaming.serving` are thin bundle
-declarations: :class:`~repro.streaming.serving.MomentShard` declares the
+Every shard class in :mod:`repro.streaming.serving` is a thin bundle
+declaration: :class:`~repro.streaming.serving.MomentShard` declares the
 default two-entry (cross, gram) bundle — built with the same factory
 arguments, the same rng children, and the same float expressions as the
 historical inline pair, so the refactor is bit-identical under one seed —
-and :class:`~repro.streaming.serving.IVMomentShard` declares the
-three-entry (zz, zx, zy) bundle :class:`~repro.core.priv_inc_iv.PrivIncIV`
-consumes.
+:class:`~repro.streaming.serving.IVMomentShard` declares the three-entry
+(zz, zx, zy) bundle :class:`~repro.core.priv_inc_iv.PrivIncIV` consumes,
+and :class:`~repro.streaming.serving.TenantShard` declares one shared
+Gram per γ group followed by one cross entry per active tenant.
 
 Fault semantics (the per-bundle accounting rule)
 ------------------------------------------------
@@ -85,6 +88,9 @@ class MomentStatistic:
     budget_weight:
         Relative share of the shard budget this statistic's mechanism
         receives (:func:`~repro.privacy.parameters.bundle_budgets`).
+    decay:
+        This entry's forgetting factor γ.  ``None`` (default) uses the
+        bundle's ``decay``; ``1.0`` builds the plain, undecayed mechanism.
     """
 
     name: str
@@ -92,6 +98,7 @@ class MomentStatistic:
     values: Callable = field(repr=False)
     total: Callable = field(repr=False)
     budget_weight: float = 1.0
+    decay: float | None = None
 
 
 def cross_statistic(moment_dim: int) -> MomentStatistic:
@@ -202,7 +209,8 @@ class MomentBundle:
         transport consumes randomness identically.
     mechanism, horizon, decay, window:
         Forwarded to :func:`~repro.privacy.release.make_release_mechanism`
-        per entry, exactly as the historical inline pair construction.
+        per entry, exactly as the historical inline pair construction
+        (an entry's own :attr:`MomentStatistic.decay` overrides ``decay``).
     l2_sensitivity:
         Shared sensitivity of every entry's stream (Δ₂ = 2 under the unit
         normalizations all current statistics assume).
@@ -225,32 +233,54 @@ class MomentBundle:
         rngs = tuple(rngs)
         if not statistics:
             raise ValidationError("a moment bundle needs at least one statistic")
-        names = tuple(stat.name for stat in statistics)
-        if len(set(names)) != len(names):
-            raise ValidationError(
-                f"bundle statistic names must be unique, got {names!r}"
-            )
         if len(budgets) != len(statistics) or len(rngs) != len(statistics):
             raise ValidationError(
                 f"need one budget and one rng per statistic: "
                 f"{len(statistics)} statistics, {len(budgets)} budgets, "
                 f"{len(rngs)} rngs"
             )
-        self.statistics = statistics
-        self.names = names
         self.decay, self.window = check_release_knobs(decay, window)
+        self._factory = dict(
+            l2_sensitivity=l2_sensitivity,
+            mechanism=mechanism,
+            horizon=horizon,
+            window=self.window,
+        )
+        #: name → (statistic, effective γ or ``None``), in advance order.
+        self._entries: dict[str, tuple[MomentStatistic, float | None]] = {}
         self._mechanisms: dict[str, object] | None = {}
         for stat, budget, rng in zip(statistics, budgets, rngs):
-            self._mechanisms[stat.name] = make_release_mechanism(
-                shape=stat.shape,
-                l2_sensitivity=l2_sensitivity,
-                params=budget,
-                rng=rng,
-                mechanism=mechanism,
-                horizon=horizon,
-                decay=self.decay,
-                window=self.window,
+            self.add(stat, budget, rng)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The entry names, in advance order."""
+        return tuple(self._entries)
+
+    def add(self, stat: MomentStatistic, budget, rng) -> None:
+        """Append one entry behind a fresh mechanism (starts at step 0)."""
+        if self._mechanisms is None:
+            raise ValidationError("cannot add to a killed moment bundle")
+        if stat.name in self._entries:
+            raise ValidationError(
+                f"bundle statistic names must be unique: {stat.name!r} is "
+                f"already declared in {self.names!r}"
             )
+        decay = self.decay if stat.decay is None else stat.decay
+        if stat.decay == 1.0:
+            decay = None  # the plain mechanism, not a γ = 1 decayed wrapper
+        self._mechanisms[stat.name] = make_release_mechanism(
+            shape=stat.shape, params=budget, rng=rng, decay=decay, **self._factory
+        )
+        self._entries[stat.name] = (stat, decay)
+
+    def remove(self, name: str) -> None:
+        """Drop the named entry; its mechanism never advances again."""
+        if name not in self._entries:
+            raise ValidationError(f"bundle has no statistic {name!r}")
+        del self._entries[name]
+        if self._mechanisms is not None:
+            del self._mechanisms[name]
 
     def get(self, name: str):
         """The named entry's mechanism, or ``None`` once killed."""
@@ -258,49 +288,58 @@ class MomentBundle:
             return None
         return self._mechanisms[name]
 
-    def ingest(self, rows: np.ndarray, ys: np.ndarray, fast: bool) -> None:
+    def ingest(self, rows: np.ndarray, ys, fast: bool) -> None:
         """Advance every entry with one routed block, in declaration order.
 
-        Every statistic's input is materialized *before* any mechanism
-        advances; a first-entry failure therefore consumes nothing (the
-        block stays refundable, the shard stays alive), while a
-        later-entry failure after earlier commits tears the bundle — see
-        the module docstring for the per-bundle fault rule.
+        ``ys`` reaches every rule as given (the tenant shard passes a
+        tenant → outcome-column mapping).  Every statistic's input is
+        materialized *before* any mechanism advances; a first-entry
+        failure therefore consumes nothing (the block stays refundable,
+        the shard stays alive), while a later-entry failure after earlier
+        commits tears the bundle — see the module docstring for the
+        per-bundle fault rule.
         """
         k = rows.shape[0]
+        entries = self._entries.values()
         if fast:
             # One BLAS product per statistic; mechanisms draw only
-            # surviving-node noise (distributional tier).  Under ``decay``
-            # the block totals are γ-weighted — ``advance_sum``'s contract
-            # is ``Σ γ^{k−1−i} v_i`` so the mechanism's internal fold
-            # ``γ^k·prefix + total`` reproduces the sequential recursion.
-            if self.decay is not None and self.decay != 1.0:
-                weights = self.decay ** np.arange(k - 1, -1, -1, dtype=float)
-            else:
-                weights = None
+            # surviving-node noise (distributional tier).  A decayed
+            # entry's block total is γ-weighted — ``advance_sum``'s
+            # contract is ``Σ γ^{k−1−i} v_i`` so the mechanism's internal
+            # fold ``γ^k·prefix + total`` reproduces the sequential
+            # recursion.  One weight vector per distinct γ.
+            gammas = {decay for _, decay in entries} - {None, 1.0}
+            weights = {g: g ** np.arange(k - 1, -1, -1, dtype=float) for g in gammas}
             inputs = [
-                stat.total(rows, ys, weights) for stat in self.statistics
+                stat.total(rows, ys, weights.get(decay)) for stat, decay in entries
             ]
             self._advance(inputs, lambda mech, total: mech.advance_sum(total, k))
         else:
-            inputs = [stat.values(rows, ys) for stat in self.statistics]
+            # Decayed mechanisms fade internally, so every entry consumes
+            # raw values; entries sharing one ``values`` rule (the Gram of
+            # every γ group) share one materialization.
+            materialized: dict = {}
+            for stat, _ in entries:
+                if stat.values not in materialized:
+                    materialized[stat.values] = stat.values(rows, ys)
+            inputs = [materialized[stat.values] for stat, _ in entries]
             self._advance(inputs, lambda mech, values: mech.advance_batch(values))
 
     def _advance(self, inputs, advance) -> None:
         mechanisms = self._mechanisms
         if mechanisms is None:
             raise ValidationError("cannot ingest into a killed moment bundle")
-        for position, (stat, payload) in enumerate(zip(self.statistics, inputs)):
+        for position, (name, payload) in enumerate(zip(self._entries, inputs)):
             try:
-                advance(mechanisms[stat.name], payload)
+                advance(mechanisms[name], payload)
             except BaseException as exc:
                 if position == 0:
                     # Nothing consumed: block-atomic, retry-safe.
                     raise
                 self.kill()
                 raise BundlePartialCommitError(
-                    f"statistic {stat.name!r} failed after {position} of "
-                    f"{len(self.statistics)} bundle entries committed this "
+                    f"statistic {name!r} failed after {position} of "
+                    f"{len(self._entries)} bundle entries committed this "
                     f"block; the bundle is torn and its mechanisms were "
                     f"discarded"
                 ) from exc
@@ -316,8 +355,8 @@ class MomentBundle:
         interchangeably.
         """
         if self._mechanisms is None:
-            return tuple(None for _ in self.statistics)
-        return tuple(self._mechanisms[name] for name in self.names)
+            return tuple(None for _ in self._entries)
+        return tuple(self._mechanisms[name] for name in self._entries)
 
     def memory_floats(self) -> int:
         """Floats held by the bundle's mechanisms (0 once killed)."""
@@ -332,7 +371,7 @@ class MomentBundle:
         self._mechanisms = None
 
     def __len__(self) -> int:
-        return len(self.statistics)
+        return len(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "killed" if self._mechanisms is None else "live"

@@ -12,10 +12,10 @@ blocks are transformed into the rows the statistics are built from:
   variant);
 * :class:`IVMomentShard` — the three-entry (zz, zx, zy) bundle of private
   two-stage least squares over stacked ``[z | x]`` rows;
-* :class:`TenantShard` — the PRIMO backend: a dynamic per-tenant cross
-  dict plus per-γ-group shared Grams (its slot structure is mutable at
-  runtime, so it keeps its own mechanism bookkeeping rather than a frozen
-  bundle declaration).
+* :class:`TenantShard` — the PRIMO backend: one shared Gram entry per
+  γ group, then one cross entry per active tenant (added and removed at
+  runtime through :meth:`~repro.streaming.moments.MomentBundle.add` /
+  :meth:`~repro.streaming.moments.MomentBundle.remove`).
 
 The default bundle is built with the same factory arguments, rng children,
 and float expressions as the historical inline (cross, gram) pair, so the
@@ -23,6 +23,8 @@ bundle refactor is bit-identical under one seed on every transport.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,10 +36,10 @@ from ...exceptions import (
     ValidationError,
 )
 from ...privacy.parameters import PrivacyParams, bundle_budgets, tenant_budgets
-from ...privacy.release import make_release_mechanism
 from ...sketching.gaussian import step4_rescale_block
 from ..moments import (
     MomentBundle,
+    MomentStatistic,
     cross_statistic,
     gram_statistic,
     iv_statistics,
@@ -164,7 +166,11 @@ class MomentShard:
         return xs
 
     def ingest(self, xs: np.ndarray, ys: np.ndarray, fast: bool) -> None:
-        """Feed a routed block to the moment bundle.
+        """Feed a routed block to the moment bundle (see :meth:`_commit`)."""
+        self._commit(self._transform(xs), ys, fast)
+
+    def _commit(self, rows: np.ndarray, ys, fast: bool) -> None:
+        """Advance the bundle by one block: the fault path of every backend.
 
         Every bundle input is materialized *before* any mechanism
         advances: with the block pre-validated (finite, unit-normalized)
@@ -179,14 +185,12 @@ class MomentShard:
         fault path, with only the fully committed blocks counted into
         ``steps`` (and hence ``lost_steps``).
         """
-        rows = self._transform(xs)
-        k = rows.shape[0]
         try:
             self.bundle.ingest(rows, ys, fast)
         except BundlePartialCommitError:
             self.alive = False
             raise
-        self.steps += k
+        self.steps += rows.shape[0]
 
     def released(self):
         """The bundle's merge handles for :func:`~repro.privacy.tree.merge_released`.
@@ -351,32 +355,45 @@ class IVMomentShard(MomentShard):
         return iv_statistics(self.instruments, self.dim)
 
 
-class TenantShard:
-    """One multi-tenant shard: a **shared** Gram tree + per-tenant cross trees.
+def _tenant_cross_statistic(tenant: str, dim: int, decay: float) -> MomentStatistic:
+    """The default cross rules over ``tenant``'s own outcome column."""
+    cross = cross_statistic(dim)
+    return MomentStatistic(
+        f"cross:{tenant}",
+        cross.shape,
+        lambda rows, columns: cross.values(rows, columns[tenant]),
+        lambda rows, columns, weights: cross.total(rows, columns[tenant], weights),
+        decay=decay,
+    )
+
+
+class TenantShard(MomentShard):
+    """One multi-tenant shard: **shared** Gram entries + per-tenant crosses.
 
     The PRIMO shard backend (*Private Regression in Multiple Outcomes*):
     when ``k`` outcome streams share one covariate stream, the expensive
     ``(d, d)`` second-moment statistic is identical for every tenant, so
-    this shard privatizes it **once** — one Gram tree at ``(ε/2, δ/2)``,
-    independent of the tenant count — and keeps only a cheap ``(d,)``
-    cross tree per tenant, each at a ``(ε/(2·cap), δ/(2·cap))`` slot of
-    the other half (:func:`~repro.privacy.parameters.tenant_budgets`).
-    Ingesting ``(x, y_1..y_k)`` advances the Gram tree exactly once and
-    tenant ``j``'s cross tree with ``x·y_j``, so the per-element privacy
-    loss is at most ``ε/2 + cap·ε/(2·cap) = ε`` — the same total budget a
-    single-tenant shard spends, now serving ``k`` models.
+    this shard privatizes it **once** — one Gram mechanism at
+    ``(ε/2, δ/2)``, independent of the tenant count — and keeps only a
+    cheap ``(d,)`` cross mechanism per tenant, each at a
+    ``(ε/(2·cap), δ/(2·cap))`` slot of the other half
+    (:func:`~repro.privacy.parameters.tenant_budgets`).  Ingesting
+    ``(x, y_1..y_k)`` advances the Gram once and tenant ``j``'s cross with
+    ``x·y_j``, so the per-element privacy loss is at most
+    ``ε/2 + cap·ε/(2·cap) = ε`` — the same total budget a single-tenant
+    shard spends, now serving ``k`` models, in ``O((G·d² + k·d) log T)``
+    floats instead of ``k·O(d² log T)``.
 
-    Its statistic set is *mutable at runtime* (tenants come and go), so
-    unlike the other backends it keeps its own mechanism dicts rather
-    than a frozen bundle declaration; the bundle contract it honors is
-    the ``released()`` seam — ordered handle tuples the merge path
-    consumes — and the block-atomic ingest ordering.
-
-    Tenants are dynamic: :meth:`add_tenant` occupies a free capacity slot
-    with a fresh cross tree, :meth:`remove_tenant` retires one.  Slot
-    reuse is sound because a removed tenant's tree never ingests again —
-    no stream element is ever seen by two occupants of one slot, so the
-    per-element bound above survives any add/remove schedule.
+    The bundle declares one Gram entry per γ group first (an equal split
+    of the gram half: every element enters every group), then one cross
+    entry per active tenant, in tenant order, at the tenant's γ.  The
+    Grams are never behind any cross in step count, so they guard block
+    atomicity, and they share one ``values`` rule, so the exact tier
+    materializes one ``(k, d, d)`` outer product per block.
+    :meth:`add_tenant` appends a cross entry at the slot budget and
+    :meth:`remove_tenant` drops one; a removed tenant's mechanism never
+    ingests again, so no element is seen by two occupants of one slot
+    and the per-element bound survives any add/remove schedule.
 
     For a single tenant both budget pieces equal ``budget.halve()``
     bit-exactly and the ingest arithmetic reduces to
@@ -409,73 +426,53 @@ class TenantShard:
         names, tenant_decays, self.decays = _check_tenant_roster(
             tenants, tenant_decays, decays
         )
-        tenant_rngs = tuple(tenant_rngs)
-        if len(tenant_rngs) != len(names):
-            raise ValidationError(
-                f"need one rng per tenant: {len(names)} tenants, "
-                f"{len(tenant_rngs)} rngs"
-            )
-        self.index = index
-        self.dim = dim
-        self.moment_dim = dim
-        self.budget = budget
-        self.mechanism = mechanism
-        self.shard_horizon = shard_horizon
         self.tenant_capacity = check_int(
             "tenant_capacity",
             len(names) if tenant_capacity is None else tenant_capacity,
             minimum=len(names),
         )
-        self.steps = 0
-        self.alive = True
-        self.lost_accounted = False
-        gram_budget, slot_budgets = tenant_budgets(budget, self.tenant_capacity)
-        #: Every slot carries the same budget; keep one for later adds.
-        self._slot_budget = slot_budgets[0]
-        #: Tenant → γ group assignment (merges pick the matching Gram).
+        #: Tenant → γ group, in the order released() indexes the crosses.
         self.tenant_decay: dict[str, float] = dict(zip(names, tenant_decays))
-        # Cross trees first, then the Gram trees — the same construction
-        # order as MomentShard.  Insertion order of this dict is the
-        # tenant order every merge indexes by.
-        self.cross: dict[str, object] = {}
-        for name, rng in zip(names, tenant_rngs):
-            self.cross[name] = self._make_tree(
-                (dim,), self._slot_budget, rng, self.tenant_decay[name]
-            )
-        # One shared Gram mechanism per declared γ group, each at an equal
-        # split of the gram half (every element enters every group, so the
-        # groups compose sequentially — split(1) leaves the single plain
-        # group at the historical budget bit-exactly).  Group 0 consumes
-        # ``gram_rng`` itself — the exact generator the single-group shard
-        # uses — and later groups consume its spawned siblings (spawning
-        # advances the spawn counter, never the bit stream).
-        group_budgets = gram_budget.split(len(self.decays))
-        extra_rngs = (
-            tuple(gram_rng.spawn(len(self.decays) - 1))
-            if len(self.decays) > 1
-            else ()
+        super().__init__(
+            index=index,
+            dim=dim,
+            budget=budget,
+            mechanism=mechanism,
+            shard_horizon=shard_horizon,
+            rngs=(gram_rng, *tenant_rngs),
         )
-        group_rngs = (gram_rng,) + extra_rngs
-        self.grams: dict[float, object] = {}
-        for g, g_budget, g_rng in zip(self.decays, group_budgets, group_rngs):
-            self.grams[g] = self._make_tree((dim, dim), g_budget, g_rng, g)
 
-    def _make_tree(self, shape, params, rng, decay: float):
-        """One tree-family release mechanism, γ-decayed when ``decay < 1``.
+    def _build_bundle(self, rngs) -> None:
+        """The Gram groups, then the tenants' crosses (see the class doc).
 
-        ``decay == 1.0`` builds the plain :class:`TreeMechanism` (not a
-        γ=1 decayed wrapper), so single-group shards stay type- and
-        bit-identical to the historical construction.
+        Group 0 consumes the Gram rng itself — the exact generator the
+        single-group shard uses — and later groups its spawned siblings
+        (spawning never advances the bit stream).
         """
-        return make_release_mechanism(
-            shape=shape,
-            l2_sensitivity=MOMENT_SENSITIVITY,
-            params=params,
-            rng=rng,
-            mechanism="tree",
+        gram_budget, slot_budgets = tenant_budgets(self.budget, self.tenant_capacity)
+        #: Every slot carries the same budget; kept for later adds.
+        self._slot_budget = slot_budgets[0]
+        gram = gram_statistic(self.dim)
+        groups = len(self.decays)
+        statistics = [replace(gram, name=f"gram:{g!r}", decay=g) for g in self.decays]
+        statistics += [
+            _tenant_cross_statistic(name, self.dim, g)
+            for name, g in self.tenant_decay.items()
+        ]
+        gram_rng = rngs[0]
+        self.bundle = MomentBundle(
+            statistics,
+            gram_budget.split(groups) + (self._slot_budget,) * len(self.tenant_decay),
+            (gram_rng, *gram_rng.spawn(groups - 1), *rngs[1:]),
             horizon=self.shard_horizon,
-            decay=None if decay == 1.0 else decay,
         )
+
+    @property
+    def cross(self):
+        """Tenant → cross mechanism in tenant order (``None`` once killed)."""
+        if not self.alive:
+            return None
+        return dict(zip(self.tenant_decay, self.released()[0]))
 
     @property
     def gram(self):
@@ -484,13 +481,11 @@ class TenantShard:
         Kept for diagnostics and the single-group conformance suites;
         merges index :meth:`released`'s per-group tuple instead.
         """
-        if self.grams is None:
-            return None
-        return self.grams[self.decays[0]]
+        return self.bundle.get(self.bundle.names[0])
 
     def tenants(self) -> tuple[str, ...]:
         """Active tenant names, in the order merges index them."""
-        return tuple(self.cross)
+        return tuple(self.tenant_decay)
 
     def add_tenant(
         self,
@@ -498,89 +493,51 @@ class TenantShard:
         rng: np.random.Generator,
         decay: float | None = None,
     ) -> None:
-        """Occupy a free capacity slot with a fresh cross tree for ``name``.
+        """Occupy a free capacity slot with a fresh cross entry for ``name``.
 
         ``decay`` assigns the tenant to one of the shard's declared γ
-        groups (default: the primary group); its cross tree uses the same
-        weighting, so the tenant's merged moments stay consistent.
+        groups (default: the primary group); its cross entry uses the
+        same weighting, so the tenant's merged moments stay consistent.
         """
         name = str(name)
-        if name in self.cross:
-            raise ValidationError(f"tenant {name!r} already exists")
-        if len(self.cross) >= self.tenant_capacity:
+        if len(self.tenant_decay) >= self.tenant_capacity:
             raise PrivacyBudgetError(
                 f"all {self.tenant_capacity} tenant slots are occupied; "
                 f"remove a tenant before adding {name!r} (the slot budgets "
                 f"are what keep the per-element loss within the total)"
             )
         g = _check_decay_group(decay, self.decays)
+        self.bundle.add(
+            _tenant_cross_statistic(name, self.dim, g), self._slot_budget, rng
+        )
         self.tenant_decay[name] = g
-        self.cross[name] = self._make_tree((self.dim,), self._slot_budget, rng, g)
 
     def remove_tenant(self, name: str) -> None:
-        """Retire ``name``'s cross tree, freeing its capacity slot."""
-        if str(name) not in self.cross:
+        """Retire ``name``'s cross entry, freeing its capacity slot."""
+        name = str(name)
+        if name not in self.tenant_decay:
             raise ValidationError(f"unknown tenant {name!r}")
-        del self.cross[str(name)]
-        del self.tenant_decay[str(name)]
+        self.bundle.remove(f"cross:{name}")
+        del self.tenant_decay[name]
 
     def ingest(self, xs: np.ndarray, ys: np.ndarray, fast: bool) -> None:
-        """Feed a routed block: the Gram tree once, each tenant's cross once.
+        """Feed a routed block: each Gram group once, each tenant's cross once.
 
         ``ys`` is the ``(n, k)`` outcome matrix, one column per active
-        tenant in :meth:`tenants` order.  All moment inputs are
-        materialized first, and the Gram tree — never behind any cross
-        tree in step count, so the first to hit capacity — advances before
-        the crosses: any failure the library can raise happens before a
-        tree mutates, preserving the block-atomic no-consumption
-        guarantee.  Per tree the arithmetic is exactly
-        :class:`MomentShard.ingest`'s, so a single tenant's trees stay
-        bit-identical to a single-tenant shard's.
+        tenant in :meth:`tenants` order.  Per mechanism the arithmetic is
+        exactly :class:`MomentShard.ingest`'s, so a single tenant's
+        mechanisms stay bit-identical to a single-tenant shard's.
         """
         Y = np.asarray(ys, dtype=float)
         if Y.ndim == 1:
             Y = Y[:, None]
-        if Y.shape != (xs.shape[0], len(self.cross)):
+        if Y.shape != (xs.shape[0], len(self.tenant_decay)):
             raise ValidationError(
                 f"outcome block must have shape ({xs.shape[0]}, "
-                f"{len(self.cross)}) — one column per active tenant — got "
-                f"{Y.shape}"
+                f"{len(self.tenant_decay)}) — one column per active tenant — "
+                f"got {Y.shape}"
             )
-        k = xs.shape[0]
-        if fast:
-            # γ-weighted block totals per group — the decayed
-            # ``advance_sum`` contract; γ = 1 keeps the plain one-product
-            # totals bit-exactly.
-            weights = {
-                g: g ** np.arange(k - 1, -1, -1, dtype=float)
-                for g in self.decays
-                if g != 1.0
-            }
-            gram_totals = []
-            for g in self.decays:
-                if g == 1.0:
-                    gram_totals.append(xs.T @ xs)
-                else:
-                    gram_totals.append((weights[g][:, None] * xs).T @ xs)
-            cross_totals = []
-            for j, name in enumerate(self.cross):
-                g = self.tenant_decay[name]
-                col = Y[:, j] if g == 1.0 else weights[g] * Y[:, j]
-                cross_totals.append(col @ xs)
-            for mechanism, total in zip(self.grams.values(), gram_totals):
-                mechanism.advance_sum(total, k)
-            for mechanism, total in zip(self.cross.values(), cross_totals):
-                mechanism.advance_sum(total, k)
-        else:
-            # The decayed mechanisms fade internally, so every γ group
-            # (and every tenant tree) ingests the same raw moment values.
-            gram_values = xs[:, :, None] * xs[:, None, :]
-            cross_values = [Y[:, j, None] * xs for j in range(Y.shape[1])]
-            for mechanism in self.grams.values():
-                mechanism.advance_batch(gram_values)
-            for mechanism, values in zip(self.cross.values(), cross_values):
-                mechanism.advance_batch(values)
-        self.steps += k
+        self._commit(xs, dict(zip(self.tenant_decay, Y.T)), fast)
 
     def released(self):
         """The (per-tenant cross tuple, per-group gram tuple) merge handles.
@@ -588,26 +545,10 @@ class TenantShard:
         Same seam as :meth:`MomentShard.released`, with both slots widened
         to tuples — one cross handle per active tenant in :meth:`tenants`
         order, one Gram handle per declared γ group in ``decays`` order.
-        The process transport snapshots each element as a
+        The remote transports snapshot each element as a
         :class:`~repro.privacy.tree.ReleasedMoments`, so the wire format
         is unchanged: the same snapshots, just ``k`` (and ``G``) of them.
         """
-        return tuple(self.cross.values()), tuple(self.grams.values())
-
-    def memory_floats(self) -> int:
-        """Floats held by the shard: ``O((G·d² + k·d) log T)`` — the PRIMO
-        economy, vs ``k·O(d² log T)`` for ``k`` independent shards."""
-        if not self.alive:
-            return 0
-        return sum(
-            mechanism.memory_floats() for mechanism in self.grams.values()
-        ) + sum(mechanism.memory_floats() for mechanism in self.cross.values())
-
-    def kill(self) -> None:
-        """Drop the mechanisms; the shard's ingested mass is lost."""
-        self.alive = False
-        self.cross = None
-        self.grams = None
-
-    def shutdown(self) -> None:
-        """Transport-uniform teardown hook (nothing to release in-process)."""
+        handles = self.bundle.released()
+        groups = len(self.decays)
+        return handles[groups:], handles[:groups]

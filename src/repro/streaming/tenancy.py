@@ -13,7 +13,10 @@ times: ``k·(d² + d)`` tree floats, ``k`` Gram noise draws per step, and a
 * each shard is a :class:`~repro.streaming.serving.TenantShard` — one
   shared Gram tree at ``(ε/2, δ/2)`` (independent of ``k``) plus one cheap
   ``(d,)`` cross tree per tenant at an equal slot of the other half
-  (:func:`~repro.privacy.parameters.tenant_budgets`);
+  (:func:`~repro.privacy.parameters.tenant_budgets`), declared as one
+  :class:`~repro.streaming.moments.MomentBundle`: the Gram entries (one
+  per γ group) first, then the crosses in tenant order — so a torn
+  tenant block is a typed shard death under the per-bundle fault rule;
 * :meth:`MultiTenantStream.observe_batch` routes each
   ``(x, y^{(1)}..y^{(k)})`` block through the shared Gram exactly once and
   fans the outcomes out to the per-tenant cross trees;
@@ -293,19 +296,20 @@ class MultiTenantStream(ShardedStream):
         single-tenant front hands its cross tree — and tenants 1..k-1
         consume its spawned siblings (spawning advances the child's spawn
         counter, never its bit stream, so tenant 0 stays bit-identical at
-        any k); the Gram consumes child ``2i+1``.
+        any k); the Gram consumes child ``2i+1``.  The spec carries them
+        Gram first, then the tenants in order.
         """
         base, gram_rng = rngs
         names = tuple(self._tenant_decays)
+        tenant_rngs = (base, *base.spawn(len(names) - 1)) if names else ()
         return ShardSpec(
             index=index,
             dim=self.dim,
             budget=budget,
-            gram_rng=gram_rng,
             shard_horizon=self.shard_horizon,
             backend="tenant",
             tenants=names,
-            tenant_rngs=(base, *base.spawn(len(names) - 1)) if names else (),
+            rngs=(gram_rng, *tenant_rngs),
             tenant_capacity=self.tenant_capacity,
             decays=self.decays,
             tenant_decays=tuple(self._tenant_decays.values()),

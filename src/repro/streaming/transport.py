@@ -84,6 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import (
+    BundlePartialCommitError,
     ShardTimeoutError,
     ShardUnavailableError,
     ValidationError,
@@ -146,20 +147,18 @@ class ShardSpec:
     #: transport would.
     decay: float | None = None
     window: "int | float | None" = None
-    #: Multi-tenant (PRIMO) shards: active tenant names, one spawned rng
-    #: per tenant (the front computes them, so every transport consumes
-    #: randomness identically), and the slot capacity.  ``cross_rng`` is
-    #: unused for tenant shards — the per-tenant rngs replace it.
-    #: ``decays`` declares the shared-Gram γ groups, ``tenant_decays``
-    #: assigns each initial tenant to one of them.
+    #: Multi-tenant (PRIMO) shards: the roster — active tenant names, the
+    #: slot capacity, the shared-Gram γ groups (``decays``) and each
+    #: initial tenant's group (``tenant_decays``).  Their rngs ride in
+    #: ``rngs``: the Gram child first, then one per tenant in order.
     tenants: "tuple[str, ...] | None" = None
-    tenant_rngs: "tuple[np.random.Generator, ...] | None" = None
     tenant_capacity: int | None = None
     decays: "tuple[float, ...] | None" = None
     tenant_decays: "tuple[float, ...] | None" = None
     #: Bundle-generic payload: the number of instrument columns (IV
-    #: backend) and the per-statistic rng children in bundle order.  The
-    #: legacy ``cross_rng``/``gram_rng`` pair remains the wire format for
+    #: backend) and the rng children in bundle order (tenant shards: the
+    #: Gram child, then one per tenant).  The legacy
+    #: ``cross_rng``/``gram_rng`` pair remains the wire format for
     #: two-entry bundles; ``rngs`` carries wider bundles without growing
     #: a field per statistic.
     instruments: int | None = None
@@ -179,17 +178,17 @@ class ShardSpec:
         )
 
         if self.backend == "tenant":
-            if self.tenants is None or self.tenant_rngs is None:
+            if self.tenants is None or self.rngs is None:
                 raise ValidationError(
                     "ShardSpec(backend='tenant') requires the tenant names "
-                    "and per-tenant rngs in the spawn payload"
+                    "and the Gram + per-tenant rngs in the spawn payload"
                 )
             return TenantShard(
                 index=self.index,
                 dim=self.dim,
                 budget=self.budget,
-                tenant_rngs=self.tenant_rngs,
-                gram_rng=self.gram_rng,
+                tenant_rngs=self.rngs[1:],
+                gram_rng=self.rngs[0],
                 tenants=self.tenants,
                 tenant_capacity=self.tenant_capacity,
                 mechanism=self.mechanism,
@@ -451,9 +450,16 @@ class ShardRpcClient:
         and the worker alive, so a retry is safe; a *dead or stuck*
         worker raises
         :class:`~repro.exceptions.ShardUnavailableError` after marking
-        the shard dead (partial-coverage accounting upstream).
+        the shard dead (partial-coverage accounting upstream).  So does a
+        bundle torn worker-side
+        (:class:`~repro.exceptions.BundlePartialCommitError`): the worker
+        has already discarded its mechanisms, so the proxy kills it too.
         """
-        self.steps = int(self._request("ingest", (xs, ys, bool(fast))))
+        try:
+            self.steps = int(self._request("ingest", (xs, ys, bool(fast))))
+        except BundlePartialCommitError:
+            self.kill()
+            raise
 
     def released(self) -> tuple[ReleasedMoments, ...]:
         """The bundle's released moments, snapshotted over the wire.
@@ -467,12 +473,14 @@ class ShardRpcClient:
 
     @property
     def cross(self) -> ReleasedMoments:
-        """Snapshot of the cross-moment release (diagnostics; one RPC)."""
+        """Snapshot of the cross-moment release (diagnostics; one RPC);
+        on a tenant shard, a tuple of one per tenant, in tenant order."""
         return self.released()[0]
 
     @property
     def gram(self) -> ReleasedMoments:
-        """Snapshot of the second-moment release (diagnostics; one RPC)."""
+        """Snapshot of the second-moment release (diagnostics; one RPC);
+        on a tenant shard, a tuple of one per γ group, in ``decays`` order."""
         return self.released()[1]
 
     def add_tenant(
